@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint lint-fixtures bench bench-json bench-baseline tables figure9 examples chaos serve crash-recovery profile scale scale-smoke pdes-smoke cover clean
+.PHONY: all build test lint lint-fixtures bench bench-json bench-test tables figure9 examples chaos serve crash-recovery profile scale scale-smoke pdes-smoke cover clean
 
 all: build test
 
@@ -38,12 +38,13 @@ bench:
 bench-json:
 	$(GO) test -bench=. -benchmem -run XXXnone -json ./...
 
-# Perf-trajectory baseline: times table/sweep generation wall-clock serial
-# (-j 1) versus parallel (-j GOMAXPROCS) plus the core microbenchmarks, and
-# writes BENCH_parallel.json ({name, serial_s, parallel_s, workers,
-# speedup} entries). CI runs this reduced cell set so the file stays fresh.
-bench-baseline:
-	$(GO) run ./cmd/benchbaseline -scale small -out BENCH_parallel.json
+# Unit tests of the host-side benchmark harness (bench/, its own module, so
+# the root `go test ./...` does not reach it). It calls repo APIs directly,
+# so this is what catches an API change that would break only the benchmark.
+# The benchmark itself runs as `bash bench/run.sh` (see BENCHMARK.json and
+# bench/README.md).
+bench-test:
+	cd bench && $(GO) test ./...
 
 tables:
 	$(GO) run ./cmd/tables -scale medium

@@ -255,45 +255,12 @@ func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
 	if err := m.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(err)
 	}
-	nodes := pr.P * pr.P
-	eng := sim.NewEngine(nodes)
+	eng := sim.NewEngine(pr.P * pr.P)
 	rt := core.NewRT(eng, mdl, m.Prog, cfg)
-
-	dist := layout.BlockCyclic{G: pr.G, P: pr.P, B: pr.B}
-	refs := make([][]core.Ref, pr.G)
-	elems := make([][]*Elem, pr.G)
-	chunks := make([]*Chunk, nodes)
-	for n := range chunks {
-		chunks[n] = &Chunk{}
-	}
-	for i := 0; i < pr.G; i++ {
-		refs[i] = make([]core.Ref, pr.G)
-		elems[i] = make([]*Elem, pr.G)
-		for j := 0; j < pr.G; j++ {
-			node := dist.Node(i, j)
-			e := &Elem{V: initValue(i, j)}
-			elems[i][j] = e
-			refs[i][j] = rt.Node(node).NewObject(e)
-			chunks[node].Elems = append(chunks[node].Elems, refs[i][j])
-		}
-	}
-	for i := 0; i < pr.G; i++ {
-		for j := 0; j < pr.G; j++ {
-			e := elems[i][j]
-			e.Nbr[0] = at(refs, i-1, j, pr.G)
-			e.Nbr[1] = at(refs, i+1, j, pr.G)
-			e.Nbr[2] = at(refs, i, j-1, pr.G)
-			e.Nbr[3] = at(refs, i, j+1, pr.G)
-		}
-	}
-	coord := &Coord{}
-	for n := 0; n < nodes; n++ {
-		coord.Chunks = append(coord.Chunks, rt.Node(n).NewObject(chunks[n]))
-	}
-	coordRef := rt.Node(0).NewObject(coord)
+	g := NewGrid(rt, pr)
 
 	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res, core.IntW(int64(pr.Iters)))
+	rt.StartOn(0, m.Main, g.Coord, &res, core.IntW(int64(pr.Iters)))
 	rt.Run()
 	if !res.Done {
 		panic("sor: did not complete")
@@ -304,9 +271,9 @@ func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
 
 	st := rt.TotalStats()
 	var sum float64
-	for i := 0; i < pr.G; i++ {
-		for j := 0; j < pr.G; j++ {
-			sum += elems[i][j].V
+	for _, row := range g.Elems {
+		for _, e := range row {
+			sum += e.V
 		}
 	}
 	return Result{
@@ -317,6 +284,55 @@ func Run(mdl *machine.Model, cfg core.Config, pr Params) Result {
 		Messages:      eng.TotalMessages(),
 		Checksum:      sum,
 	}
+}
+
+// Grid is a SOR grid laid out on a runtime's nodes: the coordinator object
+// sor.main runs on, plus every grid point's ref and state, indexed [i][j],
+// so callers can read results or map a ref back to its grid position.
+type Grid struct {
+	Coord core.Ref
+	Refs  [][]core.Ref
+	Elems [][]*Elem
+}
+
+// NewGrid builds the pr.G x pr.G grid on rt's pr.P x pr.P nodes under the
+// block-cyclic layout of block size pr.B: one object per grid point on its
+// owning node, linked to its four neighbors, one chunk driver per node, and
+// the coordinator on node 0. pr.Iters is not used.
+func NewGrid(rt *core.RT, pr Params) *Grid {
+	nodes := pr.P * pr.P
+	dist := layout.BlockCyclic{G: pr.G, P: pr.P, B: pr.B}
+	g := &Grid{Refs: make([][]core.Ref, pr.G), Elems: make([][]*Elem, pr.G)}
+	chunks := make([]*Chunk, nodes)
+	for n := range chunks {
+		chunks[n] = &Chunk{}
+	}
+	for i := 0; i < pr.G; i++ {
+		g.Refs[i] = make([]core.Ref, pr.G)
+		g.Elems[i] = make([]*Elem, pr.G)
+		for j := 0; j < pr.G; j++ {
+			node := dist.Node(i, j)
+			e := &Elem{V: initValue(i, j)}
+			g.Elems[i][j] = e
+			g.Refs[i][j] = rt.Node(node).NewObject(e)
+			chunks[node].Elems = append(chunks[node].Elems, g.Refs[i][j])
+		}
+	}
+	for i := 0; i < pr.G; i++ {
+		for j := 0; j < pr.G; j++ {
+			e := g.Elems[i][j]
+			e.Nbr[0] = at(g.Refs, i-1, j, pr.G)
+			e.Nbr[1] = at(g.Refs, i+1, j, pr.G)
+			e.Nbr[2] = at(g.Refs, i, j-1, pr.G)
+			e.Nbr[3] = at(g.Refs, i, j+1, pr.G)
+		}
+	}
+	coord := &Coord{}
+	for n := 0; n < nodes; n++ {
+		coord.Chunks = append(coord.Chunks, rt.Node(n).NewObject(chunks[n]))
+	}
+	g.Coord = rt.Node(0).NewObject(coord)
+	return g
 }
 
 func at(refs [][]core.Ref, i, j, g int) core.Ref {

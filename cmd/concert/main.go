@@ -18,11 +18,9 @@
 //
 // Every app accepts -net fattree [-radix R] to route messages through a
 // simulated fat-tree interconnect (hop-count latency plus per-link
-// contention) instead of the flat uniform-latency model, -event-queue
-// calendar|heap to pick the simulator's internal event queue, and -engine
+// contention) instead of the flat uniform-latency model, and -engine
 // serial|parallel [-shards N] to pick the execution engine (results are
-// byte-identical across queues and engines; both are host-side performance
-// choices only).
+// byte-identical across engines; the choice is host-side performance only).
 //
 // Add -verify to cross-check the simulated result against the native Go
 // reference implementation (for serve: every read-modify-write applied
@@ -30,6 +28,11 @@
 // and the critical-path breakdown (for serve, additionally the aggregated
 // compute/network/wait partition of the p99 tail requests), and -trace-out
 // FILE to export the run as Chrome trace_event JSON for ui.perfetto.dev.
+//
+// Every number printed comes from virtual time and is deterministic. Host
+// wall-clock cost is measured only by the bench/ module, the repo's
+// sanctioned wall-clock user: BENCHMARK.json declares its workloads and
+// bench/README.md describes how to run and compare them.
 package main
 
 import (
@@ -75,7 +78,6 @@ func main() {
 	retries := flag.Int("retries", 0, "serve: max deadline-based retries per request (0 = none)")
 	netName := flag.String("net", "flat", "interconnect model: flat (uniform latency) or fattree (hop count + per-link contention)")
 	radix := flag.Int("radix", 0, "fattree: switch radix (0 = default)")
-	queueName := flag.String("event-queue", "calendar", "simulator event queue: calendar or heap (byte-identical results; host performance only)")
 	engineName := flag.String("engine", "serial", "execution engine: serial or parallel (byte-identical results; host performance only)")
 	shards := flag.Int("shards", 0, "parallel engine: worker count (0 = one per CPU)")
 	verify := flag.Bool("verify", false, "check the result against the native reference")
@@ -83,11 +85,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the run as Chrome trace_event JSON to FILE")
 	flag.Parse()
 
-	if k, ok := sim.QueueByName(*queueName); ok {
-		sim.SetDefaultQueue(k)
-	} else {
-		fatalf("unknown event queue %q (want calendar or heap)", *queueName)
-	}
 	if k, ok := sim.EngineByName(*engineName); ok {
 		sim.SetDefaultEngine(k)
 		sim.SetDefaultShards(*shards)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -39,50 +38,17 @@ func main() {
 	cfg := core.DefaultHybrid()
 	cfg.Tracer = buf
 
-	// Re-create the SOR setup by hand so we keep the ref->(i,j) mapping.
-	nodes := *procs * *procs
-	eng := sim.NewEngine(nodes)
-	rt := core.NewRT(eng, machine.CM5(), m.Prog, cfg)
-	dist := layout.BlockCyclic{G: *grid, P: *procs, B: *block}
-
+	rt := core.NewRT(sim.NewEngine(*procs**procs), machine.CM5(), m.Prog, cfg)
+	g := sor.NewGrid(rt, sor.Params{G: *grid, P: *procs, B: *block})
+	// Map every grid point's ref back to its (i, j) position.
 	pos := map[core.Word][2]int{}
-	refs := make([][]core.Ref, *grid)
-	elems := make([][]*sor.Elem, *grid)
-	chunks := make([]*sor.Chunk, nodes)
-	for n := range chunks {
-		chunks[n] = &sor.Chunk{}
-	}
-	for i := 0; i < *grid; i++ {
-		refs[i] = make([]core.Ref, *grid)
-		elems[i] = make([]*sor.Elem, *grid)
-		for j := 0; j < *grid; j++ {
-			node := dist.Node(i, j)
-			e := &sor.Elem{V: 0.5}
-			elems[i][j] = e
-			refs[i][j] = rt.Node(node).NewObject(e)
-			pos[core.RefW(refs[i][j])] = [2]int{i, j}
-			chunks[node].Elems = append(chunks[node].Elems, refs[i][j])
+	for i, row := range g.Refs {
+		for j, ref := range row {
+			pos[core.RefW(ref)] = [2]int{i, j}
 		}
 	}
-	at := func(i, j int) core.Ref {
-		if i < 0 || i >= *grid || j < 0 || j >= *grid {
-			return core.NilRef
-		}
-		return refs[i][j]
-	}
-	for i := 0; i < *grid; i++ {
-		for j := 0; j < *grid; j++ {
-			e := elems[i][j]
-			e.Nbr[0], e.Nbr[1], e.Nbr[2], e.Nbr[3] = at(i-1, j), at(i+1, j), at(i, j-1), at(i, j+1)
-		}
-	}
-	coord := &sor.Coord{}
-	for n := 0; n < nodes; n++ {
-		coord.Chunks = append(coord.Chunks, rt.Node(n).NewObject(chunks[n]))
-	}
-	coordRef := rt.Node(0).NewObject(coord)
 	var res core.Result
-	rt.StartOn(0, m.Main, coordRef, &res, core.IntW(1))
+	rt.StartOn(0, m.Main, g.Coord, &res, core.IntW(1))
 	rt.Run()
 	if !res.Done {
 		panic("sor did not complete")

@@ -24,150 +24,97 @@ func captureTables(t *testing.T, tables []func(string, int64)) string {
 	return buf.String()
 }
 
-// TestTablesZeroPerturbation: every published table must be byte-identical
-// with the observability layer off and on. Observation hooks add no virtual
-// charges, so the simulated numbers — and therefore the rendered tables —
-// cannot move.
-func TestTablesZeroPerturbation(t *testing.T) {
+// TestTablesGolden: every published table must be byte-identical between a
+// plain reference run (no adorn hook, default engine, -j 1) and each variant
+// below. No variant may move a simulated number, so none may move a byte:
+//
+//   - obsv: the observability layer installed on every config. Observation
+//     hooks add no virtual charges, and each registry's attribution must sum
+//     to its clocks.
+//   - checkdecls: the runtime declaration sanitizer armed. Its checks charge
+//     no virtual time, and running every kernel under it proves every
+//     hand-declared method property consistent with what the bodies did.
+//   - engine-parallel: the sharded parallel engine at 4 shards. The total
+//     event order (time, context, sequence) is engine-independent and every
+//     cross-shard side effect commits in that order. Configurations the
+//     engine declines (migration policies, reliable over fat-tree) fall back
+//     to serial dispatch inside the same run, so the gating is covered too.
+//   - workers-8: the experiment runner at -j 8. Each cell is an isolated
+//     deterministic simulation and collection is submission-ordered.
+func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every table twice")
-	}
-	tables := []func(string, int64){table2, table3, table4, table5, table6, table7, table8, table9, table10}
-
-	adorn = nil
-	plain := captureTables(t, tables)
-
-	// One fresh registry per configuration: tables 4 and 6 construct configs
-	// from parallel worker goroutines, and a Metrics instance is single-run.
-	var mu sync.Mutex
-	var all []*obsv.Metrics
-	adorn = func(cfg core.Config) core.Config {
-		m := obsv.New()
-		m.Install(&cfg)
-		mu.Lock()
-		all = append(all, m)
-		mu.Unlock()
-		return cfg
-	}
-	observed := captureTables(t, tables)
-	adorn = nil
-
-	if len(all) == 0 {
-		t.Fatal("adorn hook never ran — a table builds configs outside it")
-	}
-	if plain != observed {
-		t.Fatalf("tables differ with observability on:\n--- off ---\n%s\n--- on ---\n%s", plain, observed)
-	}
-	for i, m := range all {
-		if err := m.CheckAttribution(); err != nil {
-			t.Fatalf("registry %d: %v", i, err)
-		}
-	}
-}
-
-// TestTablesCheckDeclsZeroPerturbation: arming the runtime declaration
-// sanitizer (the -checkdecls flag) must not move a single byte of any
-// published table — the checks charge no virtual time — and, as a side
-// effect, this runs every kernel at small scale under the sanitizer,
-// proving every hand-declared method property consistent with what the
-// bodies actually did.
-func TestTablesCheckDeclsZeroPerturbation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every table twice")
-	}
-	tables := []func(string, int64){table2, table3, table4, table5, table6, table7, table8, table9, table10}
-
-	adorn = nil
-	plain := captureTables(t, tables)
-
-	adorn = func(cfg core.Config) core.Config {
-		cfg.CheckDecls = true
-		return cfg
-	}
-	checked := captureTables(t, tables)
-	adorn = nil
-
-	if plain != checked {
-		t.Fatalf("tables differ with CheckDecls on:\n--- off ---\n%s\n--- on ---\n%s", plain, checked)
-	}
-}
-
-// TestTablesQueueGolden: every published table must be byte-identical under
-// the calendar event queue (the default) and the binary-heap oracle. Events
-// are totally ordered by (time, seq), so any correct priority queue
-// dequeues the identical sequence — the queue choice is host-side
-// performance, never simulated behavior.
-func TestTablesQueueGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every table twice")
-	}
-	tables := []func(string, int64){table2, table3, table4, table5, table6, table7, table8, table9, table10}
-
-	adorn = nil
-	old := sim.SetDefaultQueue(sim.QueueCalendar)
-	defer sim.SetDefaultQueue(old)
-	calendar := captureTables(t, tables)
-	sim.SetDefaultQueue(sim.QueueHeap)
-	heap := captureTables(t, tables)
-
-	if calendar != heap {
-		t.Fatalf("tables differ between event queues:\n--- calendar ---\n%s\n--- heap ---\n%s",
-			calendar, heap)
-	}
-}
-
-// TestTablesEngineGolden is the PDES engine's golden guarantee: every
-// published table must be byte-identical between the serial engine (the
-// oracle) and the sharded parallel engine. The total event order
-// (time, context, sequence) is engine-independent and every cross-shard side
-// effect commits in that order, so goroutine scheduling cannot move a byte.
-// Configurations the parallel engine declines (migration policies, reliable
-// over fat-tree) fall back to serial dispatch inside the same run — the
-// comparison covers that gating too.
-func TestTablesEngineGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every table twice")
-	}
-	tables := []func(string, int64){table2, table3, table4, table5, table6, table7, table8, table9, table10}
-
-	adorn = nil
-	oldEng := sim.SetDefaultEngine(sim.EngineSerial)
-	defer sim.SetDefaultEngine(oldEng)
-	serial := captureTables(t, tables)
-
-	sim.SetDefaultEngine(sim.EngineParallel)
-	oldShards := sim.SetDefaultShards(4)
-	defer sim.SetDefaultShards(oldShards)
-	parallel := captureTables(t, tables)
-
-	if serial != parallel {
-		t.Fatalf("tables differ between engines:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, parallel)
-	}
-}
-
-// TestTablesParallelGolden is the experiment runner's golden guarantee:
-// every published table must be byte-identical between -j 1 (the sequential
-// reference execution) and -j 8. Each cell is an isolated deterministic
-// simulation and collection is submission-ordered, so worker count cannot
-// move a byte.
-func TestTablesParallelGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every table twice")
+		t.Skip("runs every table once per variant")
 	}
 	tables := []func(string, int64){table2, table3, table4, table5, table6, table7, table8, table9, table10}
 
 	adorn = nil
 	oldWorkers := workers
 	defer func() { workers = oldWorkers }()
-
 	workers = 1
-	serial := captureTables(t, tables)
-	workers = 8
-	parallel := captureTables(t, tables)
+	plain := captureTables(t, tables)
+	workers = oldWorkers
 
-	if serial != parallel {
-		t.Fatalf("tables differ between -j 1 and -j 8:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
-			serial, parallel)
+	// One fresh registry per configuration: tables 4 and 6 construct configs
+	// from parallel worker goroutines, and a Metrics instance is single-run.
+	var mu sync.Mutex
+	var registries []*obsv.Metrics
+
+	variants := []struct {
+		name  string
+		apply func() (restore func())
+		check func(t *testing.T)
+	}{
+		{name: "obsv", apply: func() func() {
+			adorn = func(cfg core.Config) core.Config {
+				m := obsv.New()
+				m.Install(&cfg)
+				mu.Lock()
+				registries = append(registries, m)
+				mu.Unlock()
+				return cfg
+			}
+			return func() { adorn = nil }
+		}, check: func(t *testing.T) {
+			if len(registries) == 0 {
+				t.Fatal("adorn hook never ran — a table builds configs outside it")
+			}
+			for i, m := range registries {
+				if err := m.CheckAttribution(); err != nil {
+					t.Fatalf("registry %d: %v", i, err)
+				}
+			}
+		}},
+		{name: "checkdecls", apply: func() func() {
+			adorn = func(cfg core.Config) core.Config {
+				cfg.CheckDecls = true
+				return cfg
+			}
+			return func() { adorn = nil }
+		}},
+		{name: "engine-parallel", apply: func() func() {
+			oldEng := sim.SetDefaultEngine(sim.EngineParallel)
+			oldShards := sim.SetDefaultShards(4)
+			return func() {
+				sim.SetDefaultEngine(oldEng)
+				sim.SetDefaultShards(oldShards)
+			}
+		}},
+		{name: "workers-8", apply: func() func() {
+			workers = 8
+			return func() { workers = oldWorkers }
+		}},
+	}
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			restore := v.apply()
+			defer restore()
+			got := captureTables(t, tables)
+			if got != plain {
+				t.Fatalf("tables differ under %s:\n--- plain ---\n%s\n--- %s ---\n%s", v.name, plain, v.name, got)
+			}
+			if v.check != nil {
+				v.check(t)
+			}
+		})
 	}
 }

@@ -157,31 +157,16 @@ func FatTreeNetwork(model *Model, radix int) func(nodes int) machine.Network {
 	return func(nodes int) machine.Network { return machine.NewFatTree(nodes, radix, model) }
 }
 
-// SetEventQueue selects the engine-wide event-queue implementation by name:
-// "calendar" (the O(1)-amortized default) or "heap" (the binary-heap
-// oracle). Both dequeue in the identical deterministic (time, seq) order, so
-// simulated results are byte-identical; the choice is purely a host-side
-// performance matter. It returns false (changing nothing) for an unknown
-// name. Affects engines created after the call.
-func SetEventQueue(name string) bool {
-	k, ok := sim.QueueByName(name)
-	if !ok {
-		return false
-	}
-	sim.SetDefaultQueue(k)
-	return true
-}
-
 // SetEngine selects the engine-wide execution engine by name: "serial" (the
 // one-queue oracle) or "parallel"/"pdes" (conservative window-synchronized
 // shards across goroutines; see internal/sim/parallel.go). Both dispatch the
 // identical deterministic total event order, so simulated results are
-// byte-identical; like SetEventQueue the choice is purely a host-side
-// performance matter. Configurations the parallel engine cannot shard
-// soundly (a Migration policy, or the reliable layer over a contended
-// topology) silently fall back to serial dispatch — Engine.Workers() reports
-// what actually ran. It returns false (changing nothing) for an unknown
-// name. Affects engines created after the call.
+// byte-identical; the choice is purely a host-side performance matter.
+// Configurations the parallel engine cannot shard soundly (a Migration
+// policy, or the reliable layer over a contended topology) silently fall
+// back to serial dispatch — Engine.Workers() reports what actually ran. It
+// returns false (changing nothing) for an unknown name. Affects engines
+// created after the call.
 func SetEngine(name string) bool {
 	k, ok := sim.EngineByName(name)
 	if !ok {

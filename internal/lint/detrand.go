@@ -21,8 +21,9 @@ import (
 //     seeded by the experiment's seed.
 //   - time.Now / time.Since: wall-clock readings are nondeterministic by
 //     definition; simulated time must come from the engine's virtual clock.
-//     Wall-clock *benchmarking* (cmd/benchbaseline) is the sanctioned
-//     exception, marked with a //lint:allow detrand comment.
+//     Wall-clock *benchmarking* is the sanctioned exception: the bench/
+//     module (declared by BENCHMARK.json, documented in bench/README.md)
+//     marks its one clock read with a //lint:allow detrand comment.
 //
 // The pass is syntax-only and conservative in what it calls a map: a range
 // expression counts only when the analyzer can see a map declaration for it

@@ -41,7 +41,7 @@ import (
 	"strings"
 )
 
-// EngineKind selects the execution engine, mirroring the QueueKind seam.
+// EngineKind selects the execution engine.
 type EngineKind int
 
 const (
@@ -71,8 +71,8 @@ var (
 const maxShards = 16
 
 // SetDefaultEngine sets the engine kind used by subsequently constructed
-// engines and returns the previous default. Like SetDefaultQueue it is for
-// process startup (flag wiring) and test scoping, not concurrent use.
+// engines and returns the previous default. It is for process startup (flag
+// wiring) and test scoping, not concurrent use.
 func SetDefaultEngine(k EngineKind) EngineKind {
 	prev := defaultEngine
 	defaultEngine = k
@@ -151,7 +151,7 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 	}
 	shards := make([]*shard, target)
 	for i := range shards {
-		shards[i] = &shard{eng: e, q: newQueue(e.qkind)}
+		shards[i] = &shard{eng: e, q: newCalendarQueue()}
 	}
 	// Block partition: shard s owns nodes [s*N/S, (s+1)*N/S) — neighbors in
 	// ID space share a shard, which for grid apps keeps most traffic

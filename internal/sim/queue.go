@@ -1,74 +1,16 @@
 package sim
 
-import "container/heap"
-
-// The engine's pending-event store. Two interchangeable implementations
-// exist: the original container/heap binary heap (the oracle — simple,
-// O(log n), easy to trust) and a calendar queue (O(1) amortized, the
-// production store for large runs). Events are totally ordered by
-// (at, src, seq) — time, then scheduling context, then that context's own
-// sequence counter — so any correct priority queue dequeues in exactly the
-// same order regardless of insertion order. The context in the key is what
-// makes the order shard-independent: the serial loop and the parallel
-// engine's shards insert the same events in different interleavings, but
-// compare them identically. TestCalendarMatchesHeapOracle asserts the
-// stores agree under random insert/cancel workloads,
-// TestQueueTieBreakTwoProducers pins the same-instant cross-producer order,
-// and the cmd/tables golden test asserts the published tables are
-// byte-identical under either store.
-
-// QueueKind selects the engine's event-queue implementation.
-type QueueKind uint8
-
-const (
-	// QueueCalendar is the O(1)-amortized calendar queue (the default).
-	QueueCalendar QueueKind = iota
-	// QueueHeap is the binary-heap oracle.
-	QueueHeap
-)
-
-// defaultQueue is the store NewEngine uses. Swappable so drivers can force
-// the heap oracle machine-wide (the -event-queue flag) without threading an
-// option through every app's Run signature.
-var defaultQueue = QueueCalendar
-
-// SetDefaultQueue selects the event store for subsequently created engines
-// and returns the previous default. Engines already built are unaffected.
-func SetDefaultQueue(k QueueKind) QueueKind {
-	prev := defaultQueue
-	defaultQueue = k
-	return prev
-}
-
-// QueueByName maps "calendar"/"heap" to a QueueKind.
-func QueueByName(name string) (QueueKind, bool) {
-	switch name {
-	case "calendar", "":
-		return QueueCalendar, true
-	case "heap":
-		return QueueHeap, true
-	}
-	return 0, false
-}
-
-// eventQueue is the interface both stores implement. pop and peekAt must
-// only be called on a non-empty queue.
-type eventQueue interface {
-	push(ev event)
-	pop() event   // minimum by (at, src, seq)
-	peekAt() Time // at of the minimum, without removing it
-	len() int
-	// compact removes every event for which dead returns true, returning
-	// how many were removed. Used to reclaim cancelled-timer slots.
-	compact(dead func(*event) bool) int
-}
-
-func newQueue(k QueueKind) eventQueue {
-	if k == QueueHeap {
-		return &heapQueue{}
-	}
-	return newCalendarQueue()
-}
+// The engine's pending-event store: a calendar queue (O(1) amortized push
+// and pop). Events are totally ordered by (at, src, seq) — time, then
+// scheduling context, then that context's own sequence counter — so any
+// correct priority queue dequeues in exactly the same order regardless of
+// insertion order. The context in the key is what makes the order
+// shard-independent: the serial loop and the parallel engine's shards
+// insert the same events in different interleavings, but compare them
+// identically. queue_test.go keeps a container/heap binary heap as the
+// reference oracle: TestCalendarMatchesHeapOracle asserts the two agree
+// under random insert/cancel workloads, and TestQueueTieBreakTwoProducers
+// pins the same-instant cross-producer order.
 
 // less is the total event order: time, then scheduling context (the global
 // context's src -1 ahead of node contexts ahead of transmission contexts),
@@ -86,44 +28,6 @@ func less(a, b *event) bool {
 }
 
 // ---------------------------------------------------------------------------
-// heapQueue: the container/heap oracle.
-
-type heapQueue struct{ h eventHeap }
-
-func (q *heapQueue) push(ev event) { heap.Push(&q.h, ev) }
-func (q *heapQueue) pop() event    { return heap.Pop(&q.h).(event) }
-func (q *heapQueue) peekAt() Time  { return q.h[0].at }
-func (q *heapQueue) len() int      { return len(q.h) }
-
-func (q *heapQueue) compact(dead func(*event) bool) int {
-	keep := q.h[:0]
-	for i := range q.h {
-		if !dead(&q.h[i]) {
-			keep = append(keep, q.h[i])
-		}
-	}
-	removed := len(q.h) - len(keep)
-	q.h = keep
-	heap.Init(&q.h)
-	return removed
-}
-
-// eventHeap is a min-heap on (at, src, seq).
-type eventHeap []event
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return less(&h[i], &h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
-}
-
-// ---------------------------------------------------------------------------
 // calendarQueue: Brown's calendar queue with heap-ordered buckets.
 //
 // Virtual time is divided into bucket-width windows; bucket i of nb covers
@@ -133,8 +37,8 @@ func (h *eventHeap) Pop() any {
 // lies inside the window under the cursor. Each bucket is itself a tiny
 // binary heap on (at, src, seq), so the bucket minimum is its element 0 — the
 // in-window test is one comparison — and pathological workloads (every
-// event at one instant) degrade to a single bucket heap, i.e. exactly the
-// oracle's O(log n), never worse.
+// event at one instant) degrade to a single bucket heap, i.e. a plain binary
+// heap's O(log n), never worse.
 //
 // The queue resizes (doubling/halving nb, re-deriving width from the
 // observed event-time span) to hold mean occupancy at O(1), giving O(1)
@@ -190,6 +94,8 @@ func (q *calendarQueue) push(ev event) {
 	}
 }
 
+// pop removes and returns the minimum by (at, src, seq). The queue must be
+// non-empty.
 func (q *calendarQueue) pop() event {
 	i := q.findMin()
 	ev := q.buckets[i].pop()
@@ -201,6 +107,8 @@ func (q *calendarQueue) pop() event {
 	return ev
 }
 
+// peekAt returns the at of the minimum without removing it. The queue must
+// be non-empty.
 func (q *calendarQueue) peekAt() Time {
 	i := q.findMin()
 	return q.buckets[i][0].at
@@ -257,7 +165,7 @@ func (q *calendarQueue) resize(nb int) {
 	}
 	// Width targeting ~2 windows per event across the live span keeps mean
 	// occupancy O(1); a same-instant spike (span 0) just concentrates in
-	// one bucket heap, which is the oracle's behavior anyway. The span is
+	// one bucket heap, which is a binary heap's behavior anyway. The span is
 	// measured from lastAt, not the queue minimum: the scan starts at
 	// lastAt's window, so width must keep that distance bounded in windows.
 	width := q.width
@@ -279,6 +187,8 @@ func (q *calendarQueue) resize(nb int) {
 	}
 }
 
+// compact removes every event for which dead returns true, returning how
+// many were removed. Used to reclaim cancelled-timer slots.
 func (q *calendarQueue) compact(dead func(*event) bool) int {
 	removed := 0
 	for i := range q.buckets {

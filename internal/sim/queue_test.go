@@ -1,9 +1,49 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
+
+// heapQueue is the container/heap binary heap the calendar queue replaced,
+// kept here as the reference oracle: simple, O(log n), easy to trust. It
+// has the calendar queue's method set, so the tests below drive both with
+// identical operation streams.
+type heapQueue struct{ h eventHeap }
+
+func (q *heapQueue) push(ev event) { heap.Push(&q.h, ev) }
+func (q *heapQueue) pop() event    { return heap.Pop(&q.h).(event) }
+func (q *heapQueue) peekAt() Time  { return q.h[0].at }
+func (q *heapQueue) len() int      { return len(q.h) }
+
+func (q *heapQueue) compact(dead func(*event) bool) int {
+	keep := q.h[:0]
+	for i := range q.h {
+		if !dead(&q.h[i]) {
+			keep = append(keep, q.h[i])
+		}
+	}
+	removed := len(q.h) - len(keep)
+	q.h = keep
+	heap.Init(&q.h)
+	return removed
+}
+
+// eventHeap is a min-heap on (at, src, seq).
+type eventHeap []event
+
+func (h eventHeap) Len() int           { return len(h) }
+func (h eventHeap) Less(i, j int) bool { return less(&h[i], &h[j]) }
+func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)        { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	*h = old[:n-1]
+	return ev
+}
 
 // TestCalendarMatchesHeapOracle drives the calendar queue and the heap
 // oracle with identical random insert/pop/cancel/compact workloads and
@@ -12,8 +52,8 @@ import (
 func TestCalendarMatchesHeapOracle(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		cal := newQueue(QueueCalendar)
-		orc := newQueue(QueueHeap)
+		cal := newCalendarQueue()
+		orc := &heapQueue{}
 
 		var now Time // engine invariant: no push below the last popped time
 		var seq uint64
@@ -74,10 +114,11 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 
 // TestQueueTieBreakTwoProducers is the regression test for the same-instant
 // tie-break: two producers (distinct scheduling contexts) push equal-time
-// events, interleaved differently into each queue kind, and both kinds must
-// pop the identical (at, src, seq)-sorted order. Before the explicit total
-// order, ties fell back to insertion order — identical across queue kinds
-// only as long as a single serial loop did all the pushing, and violated by
+// events, interleaved differently into the calendar queue and the heap
+// oracle, and both must pop the identical (at, src, seq)-sorted order.
+// Before the explicit total order, ties fell back to insertion order —
+// identical across queues only as long as a single serial loop did all the
+// pushing, and violated by
 // parallel shards interleaving pushes nondeterministically.
 func TestQueueTieBreakTwoProducers(t *testing.T) {
 	// Two node contexts and one transmission context, colliding at two
@@ -89,8 +130,8 @@ func TestQueueTieBreakTwoProducers(t *testing.T) {
 			evs = append(evs, event{at: 2000, src: src, seq: seq})
 		}
 	}
-	cal := newQueue(QueueCalendar)
-	orc := newQueue(QueueHeap)
+	cal := newCalendarQueue()
+	orc := &heapQueue{}
 	// Producer-interleaved insertion into the calendar; the exact reverse
 	// into the heap. If insertion order leaks into the pop order of either,
 	// the sequences cannot match.
@@ -144,37 +185,33 @@ func TestCalendarSparseFarFuture(t *testing.T) {
 // occupying queue slots until their deadline: once stopped timers exceed
 // half the queue, Stop must compact them out in place.
 func TestCancelledTimerCompaction(t *testing.T) {
-	for _, kind := range []QueueKind{QueueCalendar, QueueHeap} {
-		prev := SetDefaultQueue(kind)
-		e := NewEngine(1)
-		SetDefaultQueue(prev)
+	e := NewEngine(1)
 
-		const n = 1000
-		timers := make([]*Timer, n)
-		for i := range timers {
-			timers[i] = e.AfterFunc(Time(1_000_000+i), func() {})
-		}
-		// A handful of live events that must survive compaction.
-		live := 0
-		for i := 0; i < 8; i++ {
-			e.Schedule(Time(10+i), func() { live++ })
-		}
-		for _, tm := range timers {
-			tm.Stop()
-		}
-		if got := e.Pending(); got > n/2 {
-			t.Fatalf("queue holds %d events after cancelling %d timers; compaction did not run", got, n)
-		}
-		if got := e.PendingWork(); got != 8 {
-			t.Fatalf("PendingWork = %d, want 8", got)
-		}
-		e.Run()
-		if live != 8 {
-			t.Fatalf("ran %d live events, want 8", live)
-		}
-		if e.Pending() != 0 {
-			t.Fatalf("%d events left after Run", e.Pending())
-		}
+	const n = 1000
+	timers := make([]*Timer, n)
+	for i := range timers {
+		timers[i] = e.AfterFunc(Time(1_000_000+i), func() {})
+	}
+	// A handful of live events that must survive compaction.
+	live := 0
+	for i := 0; i < 8; i++ {
+		e.Schedule(Time(10+i), func() { live++ })
+	}
+	for _, tm := range timers {
+		tm.Stop()
+	}
+	if got := e.Pending(); got > n/2 {
+		t.Fatalf("queue holds %d events after cancelling %d timers; compaction did not run", got, n)
+	}
+	if got := e.PendingWork(); got != 8 {
+		t.Fatalf("PendingWork = %d, want 8", got)
+	}
+	e.Run()
+	if live != 8 {
+		t.Fatalf("ran %d live events, want 8", live)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("%d events left after Run", e.Pending())
 	}
 }
 
@@ -203,8 +240,10 @@ func TestStoppedTimerNeverFires(t *testing.T) {
 // calendar the way a machine-wide run spreads them across virtual time
 // (each node's next event lands somewhere in the whole in-flight horizon),
 // rather than piling a million events onto a few thousand instants.
-func benchQueue(b *testing.B, kind QueueKind, size int) {
-	q := newQueue(kind)
+func benchQueue(b *testing.B, q interface {
+	push(event)
+	pop() event
+}, size int) {
 	// Deterministic LCG; rand.Rand in the loop would dominate the measurement.
 	s := uint64(12345)
 	next := func(bound Time) Time {
@@ -229,14 +268,14 @@ func benchQueue(b *testing.B, kind QueueKind, size int) {
 // the scale run's population (4096 nodes, one in-flight event each). Run
 // with -benchtime=1000000x to dispatch exactly one million events.
 func BenchmarkMillionEvents(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchQueue(b, QueueCalendar, 4096) })
-	b.Run("heap", func(b *testing.B) { benchQueue(b, QueueHeap, 4096) })
+	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 4096) })
+	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 4096) })
 }
 
 // BenchmarkQueueHoldMillionPop stresses a million-event *population* — every
 // operation is a DRAM miss for any structure, so the gap narrows; the
 // calendar must still win.
 func BenchmarkQueueHoldMillionPop(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchQueue(b, QueueCalendar, 1_000_000) })
-	b.Run("heap", func(b *testing.B) { benchQueue(b, QueueHeap, 1_000_000) })
+	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 1_000_000) })
+	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 1_000_000) })
 }

@@ -94,7 +94,7 @@ func (n *Node) Now() Time {
 // holding every node and the global context.
 type shard struct {
 	eng *Engine
-	q   eventQueue
+	q   *calendarQueue
 	now Time
 
 	// Key of the event currently dispatching, stamped onto ordered-commit
@@ -162,7 +162,6 @@ type Engine struct {
 	// parallel execution is actually enabled (EnableParallel succeeded).
 	kind        EngineKind
 	shardTarget int
-	qkind       QueueKind
 	par         bool
 	phase       uint8
 	lookahead   Time
@@ -183,18 +182,16 @@ type Engine struct {
 	merged []logEntry
 }
 
-// NewEngine creates an engine with n nodes, all clocks at zero. The event
-// store is chosen by the package default (see SetDefaultQueue), the engine
-// kind by SetDefaultEngine; a parallel-kind engine still dispatches serially
-// until the runtime calls EnableParallel with a positive lookahead.
+// NewEngine creates an engine with n nodes, all clocks at zero. The engine
+// kind comes from SetDefaultEngine; a parallel-kind engine still dispatches
+// serially until the runtime calls EnableParallel with a positive lookahead.
 func NewEngine(n int) *Engine {
 	e := &Engine{
 		nodes:       make([]*Node, n),
 		kind:        defaultEngine,
 		shardTarget: defaultShards,
-		qkind:       defaultQueue,
 	}
-	sh := &shard{eng: e, q: newQueue(defaultQueue)}
+	sh := &shard{eng: e, q: newCalendarQueue()}
 	e.gsh = sh
 	e.shards = []*shard{sh}
 	for i := range e.nodes {
