@@ -10,10 +10,12 @@ all: build test
 # Determinism vet: concertvet (internal/lint) runs the full analyzer suite —
 # methoddecl, framebounds, detrand, cellshare, goldenpath — over the whole
 # repo (its default patterns), then the standard vet suite runs. Exit status
-# 2 means an unsound finding, 1 pessimizing-only, 0 clean.
+# 2 means an unsound finding, 1 pessimizing-only, 0 clean. Last, every Go
+# file must be gofmt-clean; the offending files are listed on failure.
 lint:
 	$(GO) run ./cmd/concertvet
 	$(GO) vet ./...
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # The analyzers' own test gate: per-analyzer marker fixtures (bad + good),
 # the //lint:allow machinery, and the repo-clean sweep.
@@ -93,11 +95,9 @@ profile:
 # Headline scale run: a million-object SOR (1024x1024 grid, one object per
 # cell) on a 4096-node machine, routed through the fat-tree interconnect
 # with per-link contention. Exercises the calendar event queue and the
-# object arenas at full scale; completes in single-digit seconds. GOGC is
-# raised because the grid build allocates ~1M long-lived objects up front —
-# default GC pacing spends a third of the run re-marking them.
+# object arenas at full scale; completes in single-digit seconds.
 scale:
-	GOGC=300 $(GO) run ./cmd/concert -app sor -nodes 4096 -size 1024 -iters 1 -net fattree -verify
+	$(GO) run ./cmd/concert -app sor -nodes 4096 -size 1024 -iters 1 -net fattree -verify
 
 # Reduced 256-node variant of the scale run for CI: same code paths
 # (fat-tree routing, calendar queue, arenas), ~65k objects, well under a

@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/instr"
 	"repro/internal/machine"
-	"repro/internal/obsv"
 	policy "repro/internal/migrate"
+	"repro/internal/obsv"
 	"repro/internal/trace"
 )
 

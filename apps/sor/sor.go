@@ -307,12 +307,17 @@ func NewGrid(rt *core.RT, pr Params) *Grid {
 	for n := range chunks {
 		chunks[n] = &Chunk{}
 	}
+	// Every grid point is carved out of one pointer-free array: a
+	// million-point grid is one allocation the garbage collector never
+	// scans, not a million small ones.
+	elems := make([]Elem, pr.G*pr.G)
 	for i := 0; i < pr.G; i++ {
 		g.Refs[i] = make([]core.Ref, pr.G)
 		g.Elems[i] = make([]*Elem, pr.G)
 		for j := 0; j < pr.G; j++ {
 			node := dist.Node(i, j)
-			e := &Elem{V: initValue(i, j)}
+			e := &elems[i*pr.G+j]
+			e.V = initValue(i, j)
 			g.Elems[i][j] = e
 			g.Refs[i][j] = rt.Node(node).NewObject(e)
 			chunks[node].Elems = append(chunks[node].Elems, g.Refs[i][j])

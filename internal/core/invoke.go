@@ -302,8 +302,9 @@ func (rt *RT) Reply(fr *Frame, val Word) {
 		// reached it (it cannot within one activation — the guard is
 		// defensive).
 		n := fr.Node
-		if obj := n.localObject(fr.Self); obj != nil && obj.mutVer > obj.ackVer {
-			obj.deferred = append(obj.deferred, deferredReply{cont: fr.RetCont, val: val, ver: obj.mutVer})
+		if obj := n.localObject(fr.Self); obj != nil && obj.dur != nil && obj.dur.mutVer > obj.dur.ackVer {
+			d := obj.dur
+			d.deferred = append(d.deferred, deferredReply{cont: fr.RetCont, val: val, ver: d.mutVer})
 			fr.replyDeferred = true
 			rt.requestFlush(n)
 			return

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"repro/internal/instr"
 	"repro/internal/sim"
 )
@@ -165,12 +167,26 @@ func (s *NodeStats) add(other *NodeStats) {
 // heap objects scattered by the allocator. Slabs are never reused or
 // compacted: a handed-out pointer stays valid for the run (retired slabs
 // stay reachable through the table entries pointing into them).
+//
+// Slabs are sized in bytes, not objects: at 4096 nodes a node holds a few
+// hundred objects, so the unused tail of its last slab — one per node — is
+// the arena's waste, and a small slab keeps it small.
 type objArena struct {
 	slab []Object
 }
 
-// objArenaSlab is the slab size: 512 Objects, ~100KB per slab.
-const objArenaSlab = 512
+// objArenaSlabBytes is the slab budget: one 8 KiB page, which is a Go
+// allocator size class. The allocator prefixes a pointerful allocation of
+// this size with an 8-byte type header (mallocHeader), so the objects get
+// the rest: a slab that filled the whole page would round up to the next
+// class and waste most of a kilobyte.
+const (
+	objArenaSlabBytes = 8 << 10
+	mallocHeader      = 8
+)
+
+// objArenaSlab is the number of Objects per slab (51 at 160 bytes each).
+const objArenaSlab = (objArenaSlabBytes - mallocHeader) / int(unsafe.Sizeof(Object{}))
 
 func (a *objArena) alloc() *Object {
 	if len(a.slab) == cap(a.slab) {
@@ -186,6 +202,13 @@ func (n *NodeRT) NewObject(state any) Ref {
 	ref := Ref{Node: int32(n.ID), Index: int32(len(n.objects))}
 	obj := n.arena.alloc()
 	*obj = Object{Ref: ref, State: state, wantMove: -1}
+	if len(n.objects) == cap(n.objects) {
+		// Double the table: append grows a large slice by only 1.25x, so
+		// filling a big node would copy its table about five times over.
+		grown := make([]*Object, len(n.objects), max(2*cap(n.objects), 16))
+		copy(grown, n.objects)
+		n.objects = grown
+	}
 	n.objects = append(n.objects, obj)
 	n.resident++
 	return ref

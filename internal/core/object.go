@@ -10,6 +10,10 @@ import "repro/internal/sim"
 // an activation boundary, shipped to its new home, and a forwarding stub is
 // left behind (see migrate.go).
 type Object struct {
+	// The hot fields come first: localObject and entry read Ref, State and
+	// the away/lost flags on every invocation, the lock check reads locked,
+	// and a forwarding stub is followed through fwdTo. They fill the first
+	// 32 bytes (TestObjectLayout pins it).
 	Ref Ref
 	// State is the application-defined node-local state. Only code running
 	// on the owning node may touch it.
@@ -18,17 +22,33 @@ type Object struct {
 	// locked implements the implicit object lock: held while a locking
 	// method's activation is live (including across suspension).
 	locked bool
-	// waiters are activations parked on the lock, FIFO.
-	waiters frameQueue
-
 	// away marks a forwarding stub: the object migrated away and fwdTo is
 	// the next hop toward its current home. fwdVer is the residence version
 	// (the object's move count) that fwdTo corresponds to; pointer updates
 	// only ever apply strictly newer versions, which keeps the forwarding
 	// graph acyclic (versions increase monotonically along any chain).
-	away   bool
-	fwdTo  int32
-	fwdVer int32
+	away bool
+	// lost marks state destroyed by a fail-stop crash of the owner (see
+	// recover.go): the entry stays in the table so routing still works, but
+	// requests park until (and unless) the object is restored from its
+	// latest checkpoint.
+	lost  bool
+	fwdTo int32
+
+	// waiters are activations parked on the lock, FIFO.
+	waiters frameQueue
+	fwdVer  int32
+
+	// active counts live activation frames targeting this object (running,
+	// suspended, or parked on the lock). Migration only happens at
+	// active == 0, so frames never outlive their object's residence.
+	active int32
+	// wantMove is a pending migration destination (-1 if none), executed
+	// when the last active frame retires.
+	wantMove int32
+	// moves counts completed migrations of this object (never reset;
+	// policies use it to bound per-object churn).
+	moves int32
 
 	// Access counters since the object last (re)settled on a node,
 	// maintained only when a migration policy is installed. localHits
@@ -45,38 +65,38 @@ type Object struct {
 	srcs [topK]int32
 	cnts [topK]int32
 
-	// active counts live activation frames targeting this object (running,
-	// suspended, or parked on the lock). Migration only happens at
-	// active == 0, so frames never outlive their object's residence.
-	active int32
-	// wantMove is a pending migration destination (-1 if none), executed
-	// when the last active frame retires.
-	wantMove int32
+	// dur is the object's checkpoint state, allocated on its first durable
+	// mutation (or when a checkpoint restores it). Nil reads as all-zero, so
+	// runs without checkpointing carry one pointer per object, not the
+	// whole record.
+	dur *durability
+}
 
-	// moves counts completed migrations of this object (never reset;
-	// policies use it to bound per-object churn).
-	moves int32
-
-	// Crash-recovery state (see recover.go; all zero unless crashes and/or
-	// checkpointing are configured). lost marks state destroyed by a
-	// fail-stop crash of the owner: the entry stays in the table so routing
-	// still works, but requests park until (and unless) the object is
-	// restored from its latest checkpoint. mutVer counts durable mutations;
-	// snapVer is the version covered by the last snapshot shipped to the
-	// backup; ackVer is the highest version the backup has acknowledged.
-	// deferred holds replies of durable mutations not yet covered by an
-	// acked checkpoint (group commit): they are released when the covering
-	// ack arrives, and dropped — for the client to retry — if a crash rolls
-	// the mutation back first.
-	// snapAt records when the last snapshot shipped; an object whose acked
-	// version lags its shipped version past a full checkpoint period is
-	// re-shipped (the snapshot or its ack died with a crashed backup).
-	lost     bool
+// durability is the crash-recovery record of one object (see recover.go).
+// mutVer counts durable mutations; snapVer is the version covered by the
+// last snapshot shipped to the backup; ackVer is the highest version the
+// backup has acknowledged. deferred holds replies of durable mutations not
+// yet covered by an acked checkpoint (group commit): they are released when
+// the covering ack arrives, and dropped — for the client to retry — if a
+// crash rolls the mutation back first. snapAt records when the last
+// snapshot shipped; an object whose acked version lags its shipped version
+// past a full checkpoint period is re-shipped (the snapshot or its ack died
+// with a crashed backup).
+type durability struct {
 	mutVer   int64
 	snapVer  int64
 	ackVer   int64
 	snapAt   sim.Time
 	deferred []deferredReply
+}
+
+// durable returns the object's checkpoint record, allocating it on first
+// use.
+func (o *Object) durable() *durability {
+	if o.dur == nil {
+		o.dur = &durability{}
+	}
+	return o.dur
 }
 
 // deferredReply is one durable-mutation reply awaiting its checkpoint ack.

@@ -179,7 +179,9 @@ func (rt *RT) onCrash(n *NodeRT, downFor sim.Time) {
 		o.lost = true
 		o.locked = false
 		o.waiters = frameQueue{}
-		o.deferred = nil
+		if o.dur != nil {
+			o.dur.deferred = nil
+		}
 		rt.recov.LostObjects++
 		if rt.checkpointing() {
 			if _, ok := o.State.(Checkpointable); ok {
@@ -400,10 +402,11 @@ func (rt *RT) shipNode(n *NodeRT) {
 	}
 	var batch []ckptItem
 	for _, o := range n.objects {
-		if o.lost || o.away || o.mutVer <= o.ackVer {
+		d := o.dur
+		if o.lost || o.away || d == nil || d.mutVer <= d.ackVer {
 			continue
 		}
-		if o.mutVer <= o.snapVer && now-o.snapAt < overdue {
+		if d.mutVer <= d.snapVer && now-d.snapAt < overdue {
 			continue // shipped and awaiting a (not yet overdue) ack
 		}
 		c, ok := o.State.(Checkpointable)
@@ -411,9 +414,9 @@ func (rt *RT) shipNode(n *NodeRT) {
 			continue
 		}
 		words := append([]Word(nil), c.CheckpointWords()...)
-		o.snapVer = o.mutVer
-		o.snapAt = now
-		batch = append(batch, ckptItem{ref: o.Ref, ver: o.mutVer, words: words})
+		d.snapVer = d.mutVer
+		d.snapAt = now
+		batch = append(batch, ckptItem{ref: o.Ref, ver: d.mutVer, words: words})
 		n.Stats.CkptsTaken++
 		n.recov.CkptWords += int64(len(words))
 		rt.traceEvent(n, uint8(trace.KCheckpoint), nil, int64(len(words)))
@@ -528,19 +531,23 @@ func (rt *RT) handleCkptAck(n *NodeRT, msg *Msg) {
 	n.charge(instr.OpMsg, rt.Model.ReplyRecv)
 	for _, it := range msg.ckptBatch {
 		obj := n.localObject(it.ref)
-		if obj == nil || it.ver <= obj.ackVer {
+		if obj == nil {
 			continue
 		}
-		obj.ackVer = it.ver
-		keep := obj.deferred[:0]
-		for _, d := range obj.deferred {
-			if d.ver <= obj.ackVer {
+		dur := obj.durable()
+		if it.ver <= dur.ackVer {
+			continue
+		}
+		dur.ackVer = it.ver
+		keep := dur.deferred[:0]
+		for _, d := range dur.deferred {
+			if d.ver <= dur.ackVer {
 				rt.DeliverCont(n, d.cont, d.val, false)
 			} else {
 				keep = append(keep, d)
 			}
 		}
-		obj.deferred = keep
+		dur.deferred = keep
 	}
 }
 
@@ -562,7 +569,7 @@ func (rt *RT) handleRestore(n *NodeRT, msg *Msg) {
 		}
 		obj := n.arena.alloc()
 		*obj = Object{Ref: it.ref, State: old.State, wantMove: -1,
-			mutVer: it.ver, snapVer: it.ver, ackVer: it.ver}
+			dur: &durability{mutVer: it.ver, snapVer: it.ver, ackVer: it.ver}}
 		obj.State.(Checkpointable).RestoreWords(it.words)
 		n.objects[it.ref.Index] = obj
 		n.Stats.CkptsRestored++
@@ -588,6 +595,6 @@ func (rt *RT) handleRestore(n *NodeRT, msg *Msg) {
 // checkpoint that covers it. No-op unless checkpointing is on.
 func (rt *RT) noteDurable(n *NodeRT, m *Method, obj *Object) {
 	if m.Durable && rt.checkpointing() {
-		obj.mutVer++
+		obj.durable().mutVer++
 	}
 }

@@ -36,8 +36,8 @@ type Node struct {
 func (n *Node) Ordered(fn func()) { fn() }
 
 func (n *Node) deliver(v int) {
-	n.Clock += v          // own node state
-	p := n.eng.pending    // reads of engine state are fine
+	n.Clock += v       // own node state
+	p := n.eng.pending // reads of engine state are fine
 	_ = p
 	if n.eng.phase == 1 { // so are reads in conditions
 		n.eng.note() // method calls are outside the pass's view

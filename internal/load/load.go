@@ -52,10 +52,10 @@ type Params struct {
 
 // Req is one generated request.
 type Req struct {
-	ID    int   // sequential from 0
-	At    int64 // arrival time (non-decreasing)
-	Front int   // arriving frontend in [0, Frontends)
-	Keys  []int // target key per operation
+	ID    int    // sequential from 0
+	At    int64  // arrival time (non-decreasing)
+	Front int    // arriving frontend in [0, Frontends)
+	Keys  []int  // target key per operation
 	RMW   uint64 // bit i set: operation i is a read-modify-write
 }
 

@@ -54,7 +54,9 @@ func pickDest(rt *core.RT, n *core.NodeRT, o *core.Object, minTop int32, alpha f
 		node  int32
 		count int32
 	}
-	var cands []cand
+	// Sized to the sketch width (8 slots), so the buffer never grows and
+	// stays on the stack: this runs on every access the policy sees.
+	cands := make([]cand, 0, 8)
 	o.ForEachRemoteSource(func(node, count int32) {
 		cands = append(cands, cand{node, count})
 	})

@@ -172,3 +172,24 @@ func TestNeverPolicyIsFree(t *testing.T) {
 		t.Fatalf("Never policy produced migration traffic: %+v", s)
 	}
 }
+
+// TestThresholdOnAccessAllocatesNothing: the reactive policy is consulted on
+// every access, so its decision — the sketch scan, the candidate sort and
+// the admissibility test — must not allocate.
+func TestThresholdOnAccessAllocatesNothing(t *testing.T) {
+	rt, ref := hammer(t, migrate.Never{}, 0, 200)
+	n := rt.Nodes[1]
+	obj := n.Object(ref)
+	if top, _ := obj.TopRemote(); top != 0 {
+		t.Fatalf("sketch top requester = %d, want node 0", top)
+	}
+	pol := &migrate.Threshold{MinTop: 1 << 30, Alpha: 1e12, MaxSkew: 8, MaxMoves: 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, move := pol.OnAccess(rt, n, obj, 0); move {
+			t.Fatal("unreachable thresholds requested a move")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Threshold.OnAccess allocates %.1f times, want 0", allocs)
+	}
+}

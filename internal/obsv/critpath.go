@@ -14,14 +14,14 @@ import (
 // completion time. Total == Compute + Network + FutureWait + LockWait +
 // Idle, exactly — the walker partitions every cycle of the critical span.
 type PathReport struct {
-	Total      int64 // the span walked: the maximum node clock
-	Compute    int64 // busy execution on the path
-	Network    int64 // message flight (send to effective arrival)
-	FutureWait int64 // resume delay after a reply arrived (blocked on futures)
-	LockWait   int64 // quiet gaps entered by parking on an object lock
-	Idle       int64 // quiet gaps with no blocking cause (out of work)
-	Hops       int   // network hops on the path
-	Steps      int   // path segments walked
+	Total      int64            // the span walked: the maximum node clock
+	Compute    int64            // busy execution on the path
+	Network    int64            // message flight (send to effective arrival)
+	FutureWait int64            // resume delay after a reply arrived (blocked on futures)
+	LockWait   int64            // quiet gaps entered by parking on an object lock
+	Idle       int64            // quiet gaps with no blocking cause (out of work)
+	Hops       int              // network hops on the path
+	Steps      int              // path segments walked
 	ByMethod   map[string]int64 // compute cycles on the path, per method ("" = runtime)
 	// Incomplete is set when the walk could not follow an edge (a detail
 	// log was truncated, or an arrival had no matching send); the

@@ -92,9 +92,9 @@ type nodeProfile struct {
 	total      int64 // attributed cycles; equals the final clock
 	end        int64 // end of the last observed charge (contiguity cursor)
 	ops        [instr.NumOps]int64
-	intervals  []interval // non-idle execution, coalesced, time-ordered
-	arrivals   []arrival  // message deliveries, time-ordered
-	lockBlocks []int64    // KLockBlock times, time-ordered
+	intervals  []interval         // non-idle execution, coalesced, time-ordered
+	arrivals   []arrival          // message deliveries, time-ordered
+	lockBlocks []int64            // KLockBlock times, time-ordered
 	pending    map[string][]int64 // open suspends per method (FIFO)
 }
 

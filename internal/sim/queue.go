@@ -13,10 +13,11 @@ package sim
 // pins the same-instant cross-producer order.
 
 // less is the total event order: time, then scheduling context (the global
-// context's src -1 ahead of node contexts ahead of transmission contexts),
-// then the context's own sequence. Insertion order never participates, so
-// equal-time events from different producers — two shards, or the serial
-// loop visiting the same producers in any order — always pop identically.
+// context's srcGlobal, the minimum, ahead of transmission contexts ahead of
+// node contexts; see srcXmit), then the context's own sequence. Insertion
+// order never participates, so equal-time events from different producers —
+// two shards, or the serial loop visiting the same producers in any order —
+// always pop identically.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at

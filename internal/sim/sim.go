@@ -53,6 +53,9 @@ type Node struct {
 	eng         *Engine
 	sh          *shard // the shard owning this node's events
 	pumpPending bool
+	// pumpFn is this node's pump callback, built once so scheduling a pump
+	// allocates nothing.
+	pumpFn func()
 
 	// ctxSeq numbers events scheduled in this node's context (pumps, wakes,
 	// timers); xmitSeq numbers message deliveries originated by this node.
@@ -195,7 +198,9 @@ func NewEngine(n int) *Engine {
 	e.gsh = sh
 	e.shards = []*shard{sh}
 	for i := range e.nodes {
-		e.nodes[i] = &Node{ID: i, eng: e, sh: sh}
+		n := &Node{ID: i, eng: e, sh: sh}
+		n.pumpFn = func() { e.pump(n) }
+		e.nodes[i] = n
 	}
 	return e
 }
@@ -423,7 +428,7 @@ func (e *Engine) Wake(n *Node) {
 	if n.Clock > at {
 		at = n.Clock
 	}
-	n.schedule(at, func() { e.pump(n) }, false, nil)
+	n.schedule(at, n.pumpFn, false, nil)
 }
 
 // pump runs exactly one task on n, then reschedules itself while work
@@ -438,7 +443,7 @@ func (e *Engine) pump(n *Node) {
 		// the window edge, but must not count as pending real work (the
 		// window generator would see it and keep opening windows forever).
 		n.pumpPending = true
-		n.schedule(n.stallUntil, func() { e.pump(n) }, true, nil)
+		n.schedule(n.stallUntil, n.pumpFn, true, nil)
 		return
 	}
 	if n.Clock < now {
@@ -454,7 +459,7 @@ func (e *Engine) pump(n *Node) {
 		if at < now {
 			at = now
 		}
-		n.schedule(at, func() { e.pump(n) }, false, nil)
+		n.schedule(at, n.pumpFn, false, nil)
 	}
 }
 

@@ -23,7 +23,7 @@ type LatencyHist struct {
 }
 
 const (
-	histSubBits = 6             // log2 of subbuckets per octave
+	histSubBits = 6                // log2 of subbuckets per octave
 	histSub     = 1 << histSubBits // 64: values below this are exact
 	// histBuckets: 64 exact buckets + 32 subbuckets for each of the up to
 	// 58 octaves a positive int64 can occupy.
@@ -40,9 +40,9 @@ func histIndex(v int64) int {
 	if v < histSub {
 		return int(v)
 	}
-	k := bits.Len64(uint64(v))          // v in [2^(k-1), 2^k), k >= 7
-	shift := uint(k - histSubBits)      // >= 1
-	sub := int(v >> shift)              // in [32, 64)
+	k := bits.Len64(uint64(v))     // v in [2^(k-1), 2^k), k >= 7
+	shift := uint(k - histSubBits) // >= 1
+	sub := int(v >> shift)         // in [32, 64)
 	return histSub + (k-histSubBits-1)*(histSub/2) + (sub - histSub/2)
 }
 
