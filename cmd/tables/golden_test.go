@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -11,7 +13,8 @@ import (
 )
 
 // captureTables runs the given tables at small scale with the current adorn
-// hook and worker count, and returns everything they rendered.
+// hook and worker count, and returns everything they rendered, with the
+// blank line main prints after each table.
 func captureTables(t *testing.T, tables []func(string, int64)) string {
 	t.Helper()
 	old := out
@@ -20,13 +23,21 @@ func captureTables(t *testing.T, tables []func(string, int64)) string {
 	defer func() { out = old }()
 	for _, fn := range tables {
 		fn("small", 1995)
+		fmt.Fprintln(out)
 	}
 	return buf.String()
 }
 
-// TestTablesGolden: every published table must be byte-identical between a
-// plain reference run (no adorn hook, default engine, -j 1) and each variant
-// below. No variant may move a simulated number, so none may move a byte:
+// TestTablesGolden: the plain reference run (no adorn hook, default engine,
+// -j 1) must equal the pinned capture in testdata/small.txt byte for byte,
+// so a change that moves any simulated number fails here. A change that
+// moves numbers on purpose regenerates the file with
+//
+//	go run ./cmd/tables -scale small -j 1 > cmd/tables/testdata/small.txt
+//
+// and the diff is the review record. Every variant below must then be
+// byte-identical to the plain run. No variant may move a simulated number,
+// so none may move a byte:
 //
 //   - obsv: the observability layer installed on every config. Observation
 //     hooks add no virtual charges, and each registry's attribution must sum
@@ -53,6 +64,13 @@ func TestTablesGolden(t *testing.T) {
 	workers = 1
 	plain := captureTables(t, tables)
 	workers = oldWorkers
+	pinned, err := os.ReadFile("testdata/small.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain != string(pinned) {
+		t.Fatalf("tables differ from testdata/small.txt:\n--- pinned ---\n%s\n--- plain ---\n%s", pinned, plain)
+	}
 
 	// One fresh registry per configuration: tables 4 and 6 construct configs
 	// from parallel worker goroutines, and a Metrics instance is single-run.
