@@ -12,11 +12,17 @@ import (
 // moves is the state. Every node the object has ever lived on keeps an
 // entry for it — either the object itself or a forwarding stub pointing at
 // the next hop of its migration history — so any request eventually reaches
-// the current owner by following stubs. Stub targets strictly advance along
-// the migration history, so chains are acyclic and terminate (checked by
-// the property tests). On every forward hop the router notifies the
-// original requester of the better address ("moved" notices), compressing
-// chains at the source: steady-state traffic goes direct.
+// the current owner by following stubs. Stubs alone can form a cycle: an
+// object that returns to a former home finds that home's old stub still
+// pointing away until it lands, and a request could bounce between the old
+// stub and the new one pointing back. So a forwarded request carries the
+// residence version of the last stub it passed, and a request that reaches
+// a stub older than that parks there: the residence it was sent to is in
+// flight to this node, and the arrival drains it. Versions therefore
+// strictly increase hop to hop, and a chain is at most the object's move
+// count long. On every forward hop the router notifies the original
+// requester of the better address ("moved" notices), compressing chains at
+// the source: steady-state traffic goes direct.
 //
 // A migration happens only at an activation boundary: the policy marks the
 // object (wantMove) and the move fires when its last live activation
@@ -238,11 +244,14 @@ func (rt *RT) handleMigrate(n *NodeRT, msg *Msg) {
 }
 
 // forwardRequest re-routes a request that arrived at a former home of its
-// target: one hop along the stub chain, plus a "moved" notice back to the
-// original requester so its next request goes direct (path compression).
+// target: one hop along the stub chain, stamped with the stub's residence
+// version (handleMsg parks it at any older stub further on), plus a "moved"
+// notice back to the original requester so its next request goes direct
+// (path compression).
 func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	loc := int(stub.fwdTo)
 	msg.hops++
+	msg.ver = stub.fwdVer
 	if limit := rt.maxForwardHops(); int(msg.hops) > limit {
 		// A chain this long means routing state is corrupt (a cycle, or
 		// hints regressing) — under message loss that must be a loud,
@@ -264,10 +273,11 @@ func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	}
 }
 
-// maxForwardHops returns the forwarding-chain bound. Stub targets strictly
-// advance along the migration history, so a legitimate chain is at most the
-// number of homes the object ever had; 2*nodes+8 leaves slack for requests
-// chasing a repeatedly-migrating object without tolerating a cycle.
+// maxForwardHops returns the forwarding-chain bound. A request's stamped
+// residence version strictly increases hop to hop, so a legitimate chain is
+// at most the number of moves the object made while the request chased it;
+// 2*nodes+8 leaves slack for requests chasing a repeatedly-migrating object
+// without tolerating a cycle.
 func (rt *RT) maxForwardHops() int {
 	if rt.Cfg.MaxForwardHops > 0 {
 		return rt.Cfg.MaxForwardHops

@@ -51,7 +51,8 @@ type Msg struct {
 	hops int32
 
 	// obj is the payload of a msgMigrate; loc/ver the address and residence
-	// version carried by a msgMoved.
+	// version carried by a msgMoved. On a request, ver is the residence
+	// version of the last forwarding stub it passed (0 before any hop).
 	obj *Object
 	loc int32
 	ver int32
@@ -201,9 +202,11 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 			n.ID, msg.target, len(msg.args)))
 	}
 	e, has := n.entry(msg.target)
-	if !has {
-		// No entry means the object is in flight to this node (every node
-		// it ever lived on keeps at least a stub): hold until it arrives.
+	if !has || e.away && e.fwdVer < msg.ver {
+		// The object is in flight to this node: either there is no entry
+		// (every node it ever lived on keeps at least a stub), or the stub
+		// is older than one the request already passed, which sent it here
+		// because a newer residence is on its way. Hold until it arrives.
 		n.charge(instr.OpMsg, mdl.MsgRecvBase)
 		n.park(msg)
 		return

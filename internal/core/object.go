@@ -25,8 +25,9 @@ type Object struct {
 	// away marks a forwarding stub: the object migrated away and fwdTo is
 	// the next hop toward its current home. fwdVer is the residence version
 	// (the object's move count) that fwdTo corresponds to; pointer updates
-	// only ever apply strictly newer versions, which keeps the forwarding
-	// graph acyclic (versions increase monotonically along any chain).
+	// only ever apply strictly newer versions, and a request parks at a stub
+	// older than one it already passed (see migrate.go), so no request
+	// follows a cycle.
 	away bool
 	// lost marks state destroyed by a fail-stop crash of the owner (see
 	// recover.go): the entry stays in the table so routing still works, but
