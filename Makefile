@@ -58,7 +58,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/heat -cells 1024 -iters 5
 	$(GO) run ./examples/pipeline
-	$(GO) run ./examples/kernels
 	$(GO) run ./examples/minilang
 
 # Fault-injection smoke: the short loss sweep under the race detector, then

@@ -94,7 +94,7 @@ type Kernel struct {
 func Kernels(mdl *machine.Model, p Params) []Kernel {
 	sorNative := sor.Native(p.Sor.G, p.Sor.Iters)
 	inst := mdforce.Generate(p.MD)
-	mdNative := migapp.Native(inst, p.MDIters)
+	mdNative := mdforce.Native(inst, p.MDIters)
 	randAssign := migapp.CellAssignment(inst, false)
 
 	adorn := func(cfg core.Config) core.Config {

@@ -17,6 +17,10 @@
 //     forwarded chain (owner tail-forwards to a cache-fill on the
 //     requester, whose ack determines the original continuation).
 //
+// Table 7's migration extension (apps/migrate) runs this same kernel with a
+// different Plan: one chunk per spatial cluster instead of one per node,
+// several iterations, and a migration policy free to move chunks mid-run.
+//
 // The paper used a 10503-atom protein input from CEDAR; we substitute a
 // synthetic clustered 3-D atom distribution with the same atom count (the
 // layout comparison — uniform random versus orthogonal recursive bisection
@@ -26,6 +30,7 @@ package mdforce
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/instr"
@@ -40,17 +45,19 @@ const pairWork instr.Instr = 60
 // cacheWork is the bookkeeping cost of a cache lookup/insert.
 const cacheWork instr.Instr = 8
 
-// Pair is one cutoff pair, stored on the node that owns atom I.
+// Pair is one cutoff pair, stored on the chunk that owns atom I.
 type Pair struct {
 	I       int // local atom index within the owning chunk
 	JChunk  core.Ref
-	JIdx    int // index within JChunk
-	JGlobal int // global atom id (cache key)
-	JLocal  bool
+	JIdx    int  // index within JChunk
+	JGlobal int  // global atom id (cache key)
+	JLocal  bool // atom J is in the same chunk
 }
 
-// Chunk is the per-node object: its atoms, its pair list, the remote
-// coordinate cache, and the combined pending force increments.
+// Chunk is the kernel's object: a group of atoms, their pair list, the
+// remote coordinate cache, and the combined pending force increments.
+// Table 5 puts one chunk on each node; Table 7 (apps/migrate) makes each
+// spatial cluster a chunk, which a migration policy may move mid-run.
 type Chunk struct {
 	Self    core.Ref
 	Pos     [][3]float64
@@ -63,15 +70,21 @@ type Chunk struct {
 	flushCache []*pendingForce
 }
 
+// MigrateWords models the chunk's serialized size: positions and forces
+// (6 words per atom), the pair list (5 words per pair), and a header. This
+// is what a migration message is charged for.
+func (c *Chunk) MigrateWords() int { return 2 + 6*len(c.Pos) + 5*len(c.Pairs) }
+
 type pendingForce struct {
 	chunk core.Ref
 	idx   int
 	f     [3]float64
 }
 
-// Coord is the coordinator object.
+// Coord is the coordinator object driving the phases.
 type Coord struct {
 	Chunks []core.Ref
+	Iters  int
 }
 
 // Methods bundles the MD-Force program.
@@ -83,6 +96,7 @@ type Methods struct {
 	fetchCoords *core.Method
 	fillCache   *core.Method
 	addForce    *core.Method
+	chunkReset  *core.Method
 	chunkPairs  *core.Method
 	chunkFlush  *core.Method
 }
@@ -136,7 +150,9 @@ func Build() *Methods {
 	p.Add(m.addForce)
 
 	// pairForce(pairIdx): evaluate one cutoff pair. Future slot 0 receives
-	// the fetch ack on a cache miss.
+	// the fetch ack on a cache miss. A pair across chunks always takes the
+	// fetch/cache/pending path, even when both chunks share a node, so the
+	// arithmetic does not depend on where the chunks live.
 	m.pairForce = &core.Method{Name: "md.pairForce", NArgs: 1, NFutures: 1,
 		MayBlockLocal: true, Calls: []*core.Method{m.fetchCoords}}
 	m.pairForce.Body = func(rt *core.RT, fr *core.Frame) core.Status {
@@ -197,6 +213,19 @@ func Build() *Methods {
 		panic("md.pairForce: bad pc")
 	}
 	p.Add(m.pairForce)
+
+	// chunkReset: clear the per-iteration cache and pending tables.
+	m.chunkReset = &core.Method{Name: "md.chunkReset"}
+	m.chunkReset.Body = func(rt *core.RT, fr *core.Frame) core.Status {
+		c := fr.Node.State(fr.Self).(*Chunk)
+		c.Cache = map[int][3]float64{}
+		c.Pending = map[int]*pendingForce{}
+		c.flushCache = nil
+		rt.Work(fr, cacheWork)
+		rt.Reply(fr, 0)
+		return core.Done
+	}
+	p.Add(m.chunkReset)
 
 	// chunkPairs: evaluate every owned pair, join.
 	m.chunkPairs = &core.Method{Name: "md.chunkPairs", NLocals: 1,
@@ -270,23 +299,41 @@ func Build() *Methods {
 	}
 	p.Add(m.chunkFlush)
 
-	// main: pair phase on every chunk, join; then flush phase, join.
+	// main: Iters times, the pair phase then the flush phase, each a join
+	// barrier across all chunks. A run of several iterations opens every
+	// iteration, the first included, with a reset phase clearing each
+	// chunk's coordinate cache and pending increments, so every iteration
+	// repeats the same traffic; a single iteration starts from empty tables
+	// and needs none.
 	main := &core.Method{Name: "md.main", NLocals: 2,
-		MayBlockLocal: true, Calls: []*core.Method{m.chunkPairs, m.chunkFlush}}
+		MayBlockLocal: true, Calls: []*core.Method{m.chunkReset, m.chunkPairs, m.chunkFlush}}
 	main.Body = func(rt *core.RT, fr *core.Frame) core.Status {
 		c := fr.Node.State(fr.Self).(*Coord)
+		// Phase 0 is reset, 1 pairs, 2 flush; a single iteration starts
+		// at phase 1.
+		first := 0
+		if c.Iters == 1 {
+			first = 1
+		}
+		perIter := 3 - first
 		switch fr.PC {
 		case 0:
 			fr.PC = 1
 			fallthrough
 		case 1:
 			for {
-				if fr.Local(1).Int() >= 2 {
+				step := int(fr.Local(1).Int())
+				if step >= c.Iters*perIter {
 					rt.Reply(fr, 0)
 					return core.Done
 				}
-				meth := m.chunkPairs
-				if fr.Local(1).Int() == 1 {
+				var meth *core.Method
+				switch first + step%perIter {
+				case 0:
+					meth = m.chunkReset
+				case 1:
+					meth = m.chunkPairs
+				case 2:
 					meth = m.chunkFlush
 				}
 				for {
@@ -304,7 +351,7 @@ func Build() *Methods {
 					return core.Unwound
 				}
 				fr.SetLocal(0, 0)
-				fr.SetLocal(1, core.IntW(fr.Local(1).Int()+1))
+				fr.SetLocal(1, core.IntW(int64(step+1)))
 			}
 		}
 		panic("md.main: bad pc")
@@ -324,25 +371,13 @@ func (c *Chunk) flushList() []*pendingForce {
 	for k := range c.Pending {
 		keys = append(keys, k)
 	}
-	sortInts(keys)
+	slices.Sort(keys)
 	out := make([]*pendingForce, len(keys))
 	for i, k := range keys {
 		out[i] = c.Pending[k]
 	}
 	c.flushCache = out
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 // force is the simple bounded pair force used for verification: a smooth
@@ -530,26 +565,48 @@ func Run(mdl *machine.Model, cfg core.Config, inst *Instance) Result {
 }
 
 // RunWithAssign executes the kernel with an explicit atom placement — the
-// hook automatic layout selection (layout.AutoSelect) probes through.
+// hook automatic layout selection (layout.AutoSelect) probes through. Node
+// n's chunk holds the atoms assign puts on n.
 func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign []int) Result {
+	home := make([]int, inst.Params.Nodes)
+	for n := range home {
+		home[n] = n
+	}
+	r, _ := RunPlan(mdl, cfg, inst, Plan{Owner: assign, Home: home, Iters: 1})
+	return r
+}
+
+// Plan lays a run out: Owner maps each atom to the chunk holding it, Home
+// maps each chunk to the node it starts on, and Iters counts the force
+// evaluations (each iteration adds every pair's forces once more).
+type Plan struct {
+	Owner []int
+	Home  []int
+	Iters int
+}
+
+// RunPlan executes the kernel laid out by pl under cfg (whose Migration
+// field may move chunks mid-run). It returns the measurements, with forces
+// read back from wherever each chunk ended up, and the node each chunk
+// ended the run on.
+func RunPlan(mdl *machine.Model, cfg core.Config, inst *Instance, pl Plan) (Result, []int) {
 	m := Build()
 	if err := m.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(err)
 	}
-	pr := inst.Params
-	eng := sim.NewEngine(pr.Nodes)
+	eng := sim.NewEngine(inst.Params.Nodes)
 	rt := core.NewRT(eng, mdl, m.Prog, cfg)
 
-	chunks := make([]*Chunk, pr.Nodes)
-	chunkRefs := make([]core.Ref, pr.Nodes)
-	for n := range chunks {
-		chunks[n] = &Chunk{Cache: map[int][3]float64{}, Pending: map[int]*pendingForce{}}
-		chunkRefs[n] = rt.Node(n).NewObject(chunks[n])
-		chunks[n].Self = chunkRefs[n]
+	chunks := make([]*Chunk, len(pl.Home))
+	chunkRefs := make([]core.Ref, len(pl.Home))
+	for ci, node := range pl.Home {
+		chunks[ci] = &Chunk{Cache: map[int][3]float64{}, Pending: map[int]*pendingForce{}}
+		chunkRefs[ci] = rt.Node(node).NewObject(chunks[ci])
+		chunks[ci].Self = chunkRefs[ci]
 	}
 	localIdx := make([]int, len(inst.Pos))
 	for gid, p := range inst.Pos {
-		c := chunks[assign[gid]]
+		c := chunks[pl.Owner[gid]]
 		localIdx[gid] = len(c.Pos)
 		c.Pos = append(c.Pos, [3]float64{p.X, p.Y, p.Z})
 		c.Force = append(c.Force, [3]float64{})
@@ -557,17 +614,16 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 	}
 	for _, pair := range inst.Pairs {
 		i, j := pair[0], pair[1]
-		owner := assign[i]
-		c := chunks[owner]
-		c.Pairs = append(c.Pairs, Pair{
+		ci, cj := pl.Owner[i], pl.Owner[j]
+		chunks[ci].Pairs = append(chunks[ci].Pairs, Pair{
 			I:       localIdx[i],
-			JChunk:  chunkRefs[assign[j]],
+			JChunk:  chunkRefs[cj],
 			JIdx:    localIdx[j],
 			JGlobal: j,
-			JLocal:  assign[j] == owner,
+			JLocal:  ci == cj,
 		})
 	}
-	coord := &Coord{Chunks: chunkRefs}
+	coord := &Coord{Chunks: chunkRefs, Iters: pl.Iters}
 	coordRef := rt.Node(0).NewObject(coord)
 
 	var res core.Result
@@ -581,10 +637,12 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 	}
 
 	forces := make([][3]float64, len(inst.Pos))
-	for _, c := range chunks {
+	final := make([]int, len(chunks))
+	for ci, c := range chunks {
 		for li, gid := range c.Global {
 			forces[gid] = c.Force[li]
 		}
+		final[ci] = rt.Locate(chunkRefs[ci])
 	}
 	st := rt.TotalStats()
 	return Result{
@@ -595,23 +653,26 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 		Messages:      eng.TotalMessages(),
 		Forces:        forces,
 		PairCount:     len(inst.Pairs),
-	}
+	}, final
 }
 
 // Native computes the same forces in plain Go (pair order = instance
-// order). Summation order differs from the distributed execution, so
-// comparisons use a small tolerance.
-func Native(inst *Instance) [][3]float64 {
+// order), repeating the per-iteration increments iters times exactly as the
+// simulated kernel does. Summation order differs from the distributed
+// execution, so comparisons use a small tolerance.
+func Native(inst *Instance, iters int) [][3]float64 {
 	forces := make([][3]float64, len(inst.Pos))
 	pos := make([][3]float64, len(inst.Pos))
 	for i, p := range inst.Pos {
 		pos[i] = [3]float64{p.X, p.Y, p.Z}
 	}
-	for _, pr := range inst.Pairs {
-		f := force(pos[pr[0]], pos[pr[1]])
-		for d := 0; d < 3; d++ {
-			forces[pr[0]][d] += f[d]
-			forces[pr[1]][d] -= f[d]
+	for it := 0; it < iters; it++ {
+		for _, pr := range inst.Pairs {
+			f := force(pos[pr[0]], pos[pr[1]])
+			for d := 0; d < 3; d++ {
+				forces[pr[0]][d] += f[d]
+				forces[pr[1]][d] -= f[d]
+			}
 		}
 	}
 	return forces

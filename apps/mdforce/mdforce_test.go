@@ -18,7 +18,7 @@ func TestForcesMatchNative(t *testing.T) {
 		if len(inst.Pairs) == 0 {
 			t.Fatal("no pairs generated")
 		}
-		want := Native(inst)
+		want := Native(inst, 1)
 		for _, cfg := range []core.Config{core.DefaultHybrid(), core.ParallelOnly()} {
 			got := Run(machine.CM5(), cfg, inst)
 			if err := MaxRelError(got.Forces, want); err > 1e-9 {

@@ -22,7 +22,7 @@ const iters = 3
 // native forces under both static placements, hybrid and parallel-only.
 func TestForcesMatchNativeStatic(t *testing.T) {
 	inst := testInstance()
-	want := Native(inst, iters)
+	want := mdforce.Native(inst, iters)
 	for _, spatial := range []bool{false, true} {
 		for _, cfg := range []core.Config{core.DefaultHybrid(), core.ParallelOnly()} {
 			r := Run(machine.CM5(), cfg, inst, iters, CellAssignment(inst, spatial))
@@ -41,7 +41,7 @@ func TestForcesMatchNativeStatic(t *testing.T) {
 // the same static placement.
 func TestForcesMatchNativeWithMigration(t *testing.T) {
 	inst := testInstance()
-	want := Native(inst, iters)
+	want := mdforce.Native(inst, iters)
 	assign := CellAssignment(inst, false)
 
 	static := Run(machine.CM5(), core.DefaultHybrid(), inst, iters, assign)

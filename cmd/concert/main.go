@@ -157,7 +157,7 @@ func main() {
 		fmt.Printf("pairs: %d\n", r.PairCount)
 		report(mdl, r.Seconds, r.LocalFraction, r.Messages, r.Stats, r.Counters)
 		if *verify {
-			err := mdforce.MaxRelError(r.Forces, mdforce.Native(inst))
+			err := mdforce.MaxRelError(r.Forces, mdforce.Native(inst, 1))
 			verdict(err < 1e-9, fmt.Sprintf("max relative force error %.2e", err))
 		}
 	case "em3d":

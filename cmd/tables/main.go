@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	tables [-table all|2|3|4|5|6|7|8|9] [-scale small|medium|full] [-seed N] [-j N]
+//	tables [-table all|2|3|4|5|6|7|8|9|10] [-scale small|medium|full] [-seed N] [-j N]
 //
 // -scale medium (default) runs scaled-down problems in seconds; full uses
 // the paper's problem sizes (slow for tables 4 and 6).
@@ -383,7 +383,7 @@ func table7(scale string, seed int64) {
 		base.Iters = 6
 	}
 	inst := mdforce.Generate(base.MD)
-	native := migapp.Native(inst, base.Iters)
+	native := mdforce.Native(inst, base.Iters)
 	randAssign := migapp.CellAssignment(inst, false)
 	orbAssign := migapp.CellAssignment(inst, true)
 
