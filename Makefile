@@ -48,17 +48,27 @@ bench-json:
 bench-test:
 	cd bench && $(GO) test ./...
 
+# All ten tables at medium scale, diffed against the pinned capture. A
+# change that moves numbers on purpose regenerates the pin with
+#
+#	go run ./cmd/tables -scale medium > cmd/tables/testdata/medium.txt
+#
+# and the diff is the review record. figure9 is pinned the same way.
 tables:
-	$(GO) run ./cmd/tables -scale medium
+	$(GO) run ./cmd/tables -scale medium > /tmp/concert_tables_medium.out
+	diff -u cmd/tables/testdata/medium.txt /tmp/concert_tables_medium.out
 
 figure9:
-	$(GO) run ./cmd/figure9
+	$(GO) run ./cmd/figure9 > /tmp/concert_figure9.out
+	diff -u cmd/figure9/testdata/figure9.txt /tmp/concert_figure9.out
 
+# The demos, then the minic example program under both execution models.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/heat -cells 1024 -iters 5
 	$(GO) run ./examples/pipeline
-	$(GO) run ./examples/minilang
+	$(GO) run ./cmd/minic -stats -mode hybrid examples/minilang/binom.cal 16 8
+	$(GO) run ./cmd/minic -stats -mode parallel examples/minilang/binom.cal 16 8
 
 # Fault-injection smoke: the short loss sweep under the race detector, then
 # the full Table 8 sweep (verified against native references, 3x budget).

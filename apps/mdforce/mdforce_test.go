@@ -39,6 +39,25 @@ func TestSpatialLayoutMoreLocal(t *testing.T) {
 	}
 }
 
+// TestScatterLowersLocality: Scatter is the solvent-like fraction of atoms
+// thrown outside their clusters, so on the spatial layout the local
+// fraction must fall strictly as it grows (0.998, 0.973, 0.922 and 0.748 on
+// this 1500-atom, 16-node instance). This is the knob EXPERIMENTS.md cites
+// for the gap between synthetic clusters and a solvated protein.
+func TestScatterLowersLocality(t *testing.T) {
+	p := DefaultParams()
+	p.Atoms, p.Clusters, p.Box, p.Nodes, p.Seed, p.Spatial = 1500, 32, 48, 16, 1995, true
+	prev := 1.0
+	for i, scatter := range []float64{0, 0.1, 0.25, 0.5} {
+		p.Scatter = scatter
+		r := Run(machine.CM5(), core.DefaultHybrid(), Generate(p))
+		if i > 0 && r.LocalFraction >= prev {
+			t.Errorf("scatter %.2f: local fraction %.3f, want below %.3f", scatter, r.LocalFraction, prev)
+		}
+		prev = r.LocalFraction
+	}
+}
+
 // TestTable5Shape: hybrid speedup is near 1 for the random layout and
 // clearly larger for the spatial layout.
 func TestTable5Shape(t *testing.T) {

@@ -85,32 +85,21 @@ type recvLink struct {
 // reliable reports whether the exactly-once layer is engaged.
 func (rt *RT) reliable() bool { return rt.Cfg.Reliable }
 
-// rtoBase returns the initial retransmit timeout: configured, or roughly
-// two model round trips so a healthy link never retransmits.
+// rtoBase returns the initial retransmit timeout: roughly two model round
+// trips, so a healthy link never retransmits.
 func (rt *RT) rtoBase() instr.Instr {
-	if rt.Cfg.RetransmitBase > 0 {
-		return rt.Cfg.RetransmitBase
-	}
 	m := rt.Model
 	return 2 * (m.MsgSendBase + m.NetLatency + m.MsgRecvBase +
 		m.ReplySend + m.ReplyLatency + m.ReplyRecv)
 }
 
-// rtoCap returns the backoff ceiling.
-func (rt *RT) rtoCap() instr.Instr {
-	if rt.Cfg.RetransmitCap > 0 {
-		return rt.Cfg.RetransmitCap
-	}
-	return 64 * rt.rtoBase()
-}
+// rtoCap returns the backoff ceiling: backoff doubles the timeout per
+// retransmission up to 64x the base.
+func (rt *RT) rtoCap() instr.Instr { return 64 * rt.rtoBase() }
 
-// ackDelay returns the delayed-ack coalescing window.
-func (rt *RT) ackDelay() instr.Instr {
-	if rt.Cfg.AckDelay > 0 {
-		return rt.Cfg.AckDelay
-	}
-	return rt.Model.NetLatency
-}
+// ackDelay returns the delayed-ack coalescing window: how long a receiver
+// gathers deliveries before sending one cumulative ack.
+func (rt *RT) ackDelay() instr.Instr { return rt.Model.NetLatency }
 
 // outLink returns (creating if needed) n's sender link toward dest.
 func (n *NodeRT) outLink(dest int) *sendLink {

@@ -243,8 +243,6 @@ func TestValidateConfig(t *testing.T) {
 		{"period without policy", mdl, func(c *Config) { c.MigrationPeriod = 100 }, "without a Migration policy"},
 		{"negative max words", mdl, func(c *Config) { c.MaxMsgWords = -1 }, "MaxMsgWords"},
 		{"negative hop bound", mdl, func(c *Config) { c.MaxForwardHops = -2 }, "MaxForwardHops"},
-		{"negative rto", mdl, func(c *Config) { c.Reliable = true; c.RetransmitBase = -5 }, "RetransmitBase"},
-		{"rto base over cap", mdl, func(c *Config) { c.Reliable = true; c.RetransmitBase = 100; c.RetransmitCap = 50 }, "exceeds RetransmitCap"},
 		{"drop probability out of range", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 1.5}; c.Reliable = true }, "out of range"},
 		{"lossy without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 0.01} }, "Reliable is off"},
 		{"crashes without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{CrashEvery: 1000, CrashLen: 100} }, "Reliable is off"},

@@ -4,14 +4,13 @@
 //
 // The simulator itself is sequential by design — each run's virtual clocks
 // demand a single deterministic event order — but the experiment drivers
-// (cmd/tables, cmd/sweep, apps/chaos) execute dozens to hundreds of
-// *independent* (model, config, params) cells. Each cell builds its own
-// engine, runtime, RNG and trace/metrics buffers, so cells share no mutable
-// state and can run concurrently; only the collection order matters for
-// reproducible output. Map and Run therefore return results indexed by
-// submission order regardless of worker count, and the drivers expose that
-// as a -j flag with a golden guarantee: -j 1 and -j N output is
-// byte-identical.
+// (cmd/tables, apps/chaos) execute dozens to hundreds of *independent*
+// (model, config, params) cells. Each cell builds its own engine, runtime,
+// RNG and trace/metrics buffers, so cells share no mutable state and can
+// run concurrently; only the collection order matters for reproducible
+// output. Map therefore returns results indexed by submission order
+// regardless of worker count, and the drivers expose that as a -j flag with
+// a golden guarantee: -j 1 and -j N output is byte-identical.
 package exp
 
 import (
@@ -67,14 +66,6 @@ func DefaultWorkers() int {
 	return 1
 }
 
-// Clamp normalizes a -j flag value: non-positive means DefaultWorkers.
-func Clamp(workers int) int {
-	if workers <= 0 {
-		return DefaultWorkers()
-	}
-	return workers
-}
-
 // Map runs fn(i) for every i in [0, n) on up to `workers` goroutines and
 // returns the results in index order. workers <= 0 means DefaultWorkers();
 // workers == 1 degenerates to a plain sequential loop on the calling
@@ -84,10 +75,10 @@ func Clamp(workers int) int {
 // calling goroutine after the running cells drain.
 func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	workers = Clamp(workers)
-	if workers > n {
-		workers = n
+	if workers <= 0 {
+		workers = DefaultWorkers()
 	}
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := range out {
 			out[i] = fn(i)
@@ -121,78 +112,4 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	wg.Wait()
 	trap.rethrow()
 	return out
-}
-
-// Run executes each job across workers and returns the results in
-// submission order — Map for a heterogeneous job slice.
-func Run[T any](workers int, jobs []func() T) []T {
-	return Map(workers, len(jobs), func(i int) T { return jobs[i]() })
-}
-
-// MapErr is Map with a cancellable error path: once any cell returns a
-// non-nil error, workers start no further cells (cells already running
-// finish). It returns the results (zero values at failed or skipped
-// indices) and the error with the lowest index among the cells that ran and
-// failed — so with deterministic cells the reported error does not depend
-// on worker count for the common case of a single failing cell.
-func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	workers = Clamp(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := range out {
-			v, err := fn(i)
-			if err != nil {
-				return out, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var failed atomic.Bool
-	var mu sync.Mutex
-	errIdx := n
-	var firstErr error
-	var trap panicTrap
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if failed.Load() || trap.hit.Load() {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							trap.record(i, r)
-						}
-					}()
-					v, err := fn(i)
-					if err != nil {
-						failed.Store(true)
-						mu.Lock()
-						if i < errIdx {
-							errIdx, firstErr = i, err
-						}
-						mu.Unlock()
-						return
-					}
-					out[i] = v
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	trap.rethrow()
-	return out, firstErr
 }

@@ -1,8 +1,6 @@
 package exp_test
 
 import (
-	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -34,20 +32,6 @@ func TestMapEmpty(t *testing.T) {
 	got := exp.Map(8, 0, func(i int) int { t.Fatal("fn called"); return 0 })
 	if len(got) != 0 {
 		t.Fatalf("len = %d, want 0", len(got))
-	}
-}
-
-func TestRunSubmissionOrder(t *testing.T) {
-	jobs := make([]func() string, 20)
-	for i := range jobs {
-		i := i
-		jobs[i] = func() string { return fmt.Sprintf("job-%02d", i) }
-	}
-	got := exp.Run(4, jobs)
-	for i, v := range got {
-		if want := fmt.Sprintf("job-%02d", i); v != want {
-			t.Fatalf("got[%d] = %q, want %q", i, v, want)
-		}
 	}
 }
 
@@ -85,53 +69,6 @@ func TestCellSetDeterministicAcrossWorkers(t *testing.T) {
 		if serial[i] != parallel[i] {
 			t.Fatalf("cell %d differs between -j 1 and -j 8:\n%+v\nvs\n%+v",
 				i, serial[i], parallel[i])
-		}
-	}
-}
-
-func TestMapErrCancels(t *testing.T) {
-	boom := errors.New("boom")
-	// Sequential reference: cells after the failing index never run.
-	var ran atomic.Int64
-	_, err := exp.MapErr(1, 10, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if ran.Load() != 4 {
-		t.Fatalf("j=1 ran %d cells, want 4 (cancel after first error)", ran.Load())
-	}
-	// Parallel: some cells may already be running, but far fewer than all
-	// start once the error lands, and the error surfaces.
-	var ran8 atomic.Int64
-	_, err = exp.MapErr(8, 10_000, func(i int) (int, error) {
-		ran8.Add(1)
-		if i == 0 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if err != boom {
-		t.Fatalf("parallel err = %v, want boom", err)
-	}
-	if ran8.Load() == 10_000 {
-		t.Fatal("parallel MapErr ran every cell despite an early error")
-	}
-}
-
-func TestMapErrCleanPath(t *testing.T) {
-	got, err := exp.MapErr(4, 50, func(i int) (int, error) { return i + 1, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("got[%d] = %d, want %d", i, v, i+1)
 		}
 	}
 }

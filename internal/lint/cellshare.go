@@ -16,9 +16,8 @@ import (
 // handle (the Config.Network-shared-link-state bug PR 8 fixed by making
 // Network a factory).
 //
-// At every exp.Map / exp.MapErr / exp.Run call site the pass analyzes the
-// cell function literals (for exp.Run, the literals appended or assigned
-// into the jobs slice within the same function) and reports:
+// At every exp.Map call site the pass analyzes the cell function literal
+// and reports:
 //
 //   - an assignment, op-assignment, increment or append that writes through
 //     a captured (free) variable — unless it is the per-slot idiom
@@ -50,7 +49,7 @@ import (
 // dynamic backstop), and non-literal cell functions are skipped.
 var CellShare = &Analyzer{
 	Name: "cellshare",
-	Doc:  "check exp.Map/Run/MapErr cell closures and engine window-phase code for shared mutable state",
+	Doc:  "check exp.Map cell closures and engine window-phase code for shared mutable state",
 	Run:  runCellShare,
 }
 
@@ -124,73 +123,18 @@ func checkCellSites(pass *Pass, body *ast.BlockStmt, expName, randName string, c
 			return true
 		}
 		pkg, ok := sel.X.(*ast.Ident)
-		if !ok || pkg.Name != expName {
+		if !ok || pkg.Name != expName || sel.Sel.Name != "Map" || len(call.Args) == 0 {
 			return true
 		}
-		switch sel.Sel.Name {
-		case "Map", "MapErr":
-			if len(call.Args) == 0 {
-				return true
-			}
-			if lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
-				checkCellBody(pass, lit, cellIndexParam(lit), randVars, coreNames)
-			}
-		case "Run":
-			if len(call.Args) == 0 {
-				return true
-			}
-			jobs := call.Args[len(call.Args)-1]
-			switch j := jobs.(type) {
-			case *ast.CompositeLit:
-				for _, el := range j.Elts {
-					if lit, ok := el.(*ast.FuncLit); ok {
-						checkCellBody(pass, lit, "", randVars, coreNames)
-					}
-				}
-			case *ast.Ident:
-				for _, lit := range jobLiterals(body, j.Name) {
-					checkCellBody(pass, lit, "", randVars, coreNames)
-				}
-			}
+		if lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit); ok {
+			checkCellBody(pass, lit, cellIndexParam(lit), randVars, coreNames)
 		}
 		return true
 	})
-}
-
-// jobLiterals collects the function literals grown into the named jobs
-// slice within fn: append(jobs, func(){…}) and jobs[i] = func(){…}.
-func jobLiterals(body *ast.BlockStmt, jobs string) []*ast.FuncLit {
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 1 &&
-				rootOf(keyOf(n.Args[0])) == jobs {
-				for _, arg := range n.Args[1:] {
-					if lit, ok := arg.(*ast.FuncLit); ok {
-						lits = append(lits, lit)
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			if len(n.Lhs) != len(n.Rhs) {
-				return true
-			}
-			for i := range n.Lhs {
-				if ix, ok := n.Lhs[i].(*ast.IndexExpr); ok && rootOf(keyOf(ix.X)) == jobs {
-					if lit, ok := n.Rhs[i].(*ast.FuncLit); ok {
-						lits = append(lits, lit)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return lits
 }
 
 // cellIndexParam returns the name of the cell function's index parameter
-// (the first parameter of an exp.Map/MapErr cell).
+// (the first parameter of an exp.Map cell).
 func cellIndexParam(lit *ast.FuncLit) string {
 	if lit.Type.Params == nil || len(lit.Type.Params.List) == 0 {
 		return ""

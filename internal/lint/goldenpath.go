@@ -8,7 +8,7 @@ import (
 
 // GoldenPath verifies that golden-tested binaries keep every user-visible
 // byte inside the swappable, buffered, flush-checked writer the golden
-// tests capture. The house idiom (cmd/tables, cmd/sweep) is a package-level
+// tests capture. The house idiom (cmd/tables) is a package-level
 // `var out io.Writer = os.Stdout` (or an io.Writer parameter threaded from
 // main) that the golden tests swap for a bytes.Buffer; anything written
 // around that funnel — an implicit-stdout fmt.Print, a direct os.Stdout

@@ -9,10 +9,10 @@
 // contract — same seed, same bytes, at any -j width: detrand flags
 // nondeterminism sources (map-iteration order reaching output or simulation
 // state, global math/rand, wall clock), cellshare checks experiment-cell
-// isolation at exp.Map/Run/MapErr call sites (shared mutable captures,
-// shared Config handles), and goldenpath keeps golden-tested binaries'
-// output inside their swappable checked-flush writer. AllAnalyzers is the
-// registry; cmd/concertvet is the driver.
+// isolation at exp.Map call sites (shared mutable captures, shared Config
+// handles), and goldenpath keeps golden-tested binaries' output inside
+// their swappable checked-flush writer. AllAnalyzers is the registry;
+// cmd/concertvet is the driver.
 //
 // A finding can be suppressed where it occurs with a machine-readable
 // `//lint:allow <analyzer> <reason>` comment (trailing, or standalone on

@@ -1,5 +1,5 @@
 // Package cellsharebad seeds every cell-isolation violation the cellshare
-// analyzer must catch at exp.Map / exp.Run / exp.MapErr call sites.
+// analyzer must catch at exp.Map call sites.
 package cellsharebad
 
 import (
@@ -81,21 +81,6 @@ func fixedSlot(n int) []int {
 		return buf[0]
 	})
 	return buf
-}
-
-// runJobs violates isolation from an exp.Run jobs slice built by append.
-func runJobs(n int) int {
-	sum := 0
-	var jobs []func() int
-	for i := 0; i < n; i++ {
-		i := i
-		jobs = append(jobs, func() int {
-			sum += i // want:unsound
-			return i
-		})
-	}
-	exp.Run(0, jobs)
-	return sum
 }
 
 func run(core.Config) float64 { return 0 }

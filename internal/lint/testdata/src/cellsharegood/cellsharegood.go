@@ -56,17 +56,4 @@ func localState(rows []int) []int {
 	})
 }
 
-// runJobsLocal builds exp.Run jobs whose closures only read their captures.
-func runJobsLocal(params []int64) []float64 {
-	jobs := make([]func() float64, len(params))
-	for i := range params {
-		p := params[i]
-		jobs[i] = func() float64 {
-			cfg := core.Config{Seed: p}
-			return run(cfg)
-		}
-	}
-	return exp.Run(0, jobs)
-}
-
 func run(core.Config) float64 { return 0 }
