@@ -48,7 +48,7 @@ bench-json:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# All ten tables at medium scale, diffed against the pinned capture. A
+# Tables 2-10 at medium scale, diffed against the pinned capture. A
 # change that moves numbers on purpose regenerates the pin with
 #
 #	go run ./cmd/tables -scale medium > cmd/tables/testdata/medium.txt
