@@ -25,14 +25,24 @@ func serveTranscript(cfg core.Config, p Params) string {
 	return sb.String()
 }
 
+// serveTranscriptPin is the fingerprint of the threshold-migration
+// serveTranscript below. A change that moves the trace, the results or
+// NodeStats on purpose re-pins it, and the diff is the review record.
+const serveTranscriptPin = "d7a4a7c4e3fc2f0e"
+
 // TestServeRerunDeterministic: the adaptive serving run — migration policy
-// included — replays byte-identically under the same seed.
+// included — matches its pin and replays byte-identically under the same
+// seed.
 func TestServeRerunDeterministic(t *testing.T) {
-	if err := exp.CheckRerun(func() string {
+	run := func() string {
 		cfg := core.DefaultHybrid()
 		cfg.Migration = ThresholdPolicy()
 		return serveTranscript(cfg, DefaultParams(1995))
-	}); err != nil {
+	}
+	if got := exp.Fingerprint(run()); got != serveTranscriptPin {
+		t.Fatalf("transcript fingerprint %s, pinned %s", got, serveTranscriptPin)
+	}
+	if err := exp.CheckRerun(run); err != nil {
 		t.Fatal(err)
 	}
 }

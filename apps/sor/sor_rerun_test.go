@@ -26,10 +26,19 @@ func sorTranscript() string {
 	return sb.String()
 }
 
+// sorTranscriptPin is exp.Fingerprint(sorTranscript()). A change that
+// moves the trace, NodeStats or the checksum on purpose re-pins it, and the
+// diff is the review record.
+const sorTranscriptPin = "bd7c1ca859c5eee8"
+
 // TestSORRerunDeterministic is the dynamic backstop for the static detrand
-// and cellshare passes: two same-seed runs must produce byte-identical
-// transcripts — the full trace Timeline plus NodeStats and the checksum.
+// and cellshare passes: the transcript — the full trace Timeline plus
+// NodeStats and the checksum — must match its pin, and two same-seed runs
+// must be byte-identical.
 func TestSORRerunDeterministic(t *testing.T) {
+	if got := exp.Fingerprint(sorTranscript()); got != sorTranscriptPin {
+		t.Fatalf("transcript fingerprint %s, pinned %s", got, sorTranscriptPin)
+	}
 	if err := exp.CheckRerun(sorTranscript); err != nil {
 		t.Fatal(err)
 	}
