@@ -209,58 +209,6 @@ func TestMaxStackDepthForcesHeap(t *testing.T) {
 	}
 }
 
-// TestSeqBodySpecialization: a registered SeqBody must be used for stack
-// execution and the general Body for heap execution.
-func TestSeqBodySpecialization(t *testing.T) {
-	p := NewProgram()
-	var seqRuns, genRuns int
-	leaf := &Method{Name: "s.leaf", NArgs: 1}
-	leaf.Body = func(rt *RT, fr *Frame) Status {
-		genRuns++
-		rt.Reply(fr, fr.Arg(0))
-		return Done
-	}
-	leaf.SeqBody = func(rt *RT, fr *Frame) Status {
-		seqRuns++
-		rt.Reply(fr, fr.Arg(0))
-		return Done
-	}
-	p.Add(leaf)
-	caller := mkCaller(p, "s.caller", leaf)
-	if err := p.Resolve(Interfaces3); err != nil {
-		t.Fatal(err)
-	}
-	// Hybrid: stack call -> SeqBody.
-	_, v := runSingle(t, p, DefaultHybrid(), caller, RefW(Ref{Node: 0, Index: 0}), IntW(7))
-	_ = v
-	if seqRuns != 1 || genRuns != 0 {
-		t.Fatalf("hybrid: seqRuns=%d genRuns=%d, want 1/0", seqRuns, genRuns)
-	}
-	// Parallel-only: heap context -> general Body.
-	seqRuns, genRuns = 0, 0
-	p2 := NewProgram()
-	leaf2 := &Method{Name: "s.leaf", NArgs: 1}
-	leaf2.Body = func(rt *RT, fr *Frame) Status {
-		genRuns++
-		rt.Reply(fr, fr.Arg(0))
-		return Done
-	}
-	leaf2.SeqBody = func(rt *RT, fr *Frame) Status {
-		seqRuns++
-		rt.Reply(fr, fr.Arg(0))
-		return Done
-	}
-	p2.Add(leaf2)
-	caller2 := mkCaller(p2, "s.caller", leaf2)
-	if err := p2.Resolve(Interfaces3); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = runSingle(t, p2, ParallelOnly(), caller2, RefW(Ref{Node: 0, Index: 0}), IntW(7))
-	if genRuns != 1 || seqRuns != 0 {
-		t.Fatalf("parallel: seqRuns=%d genRuns=%d, want 0/1", seqRuns, genRuns)
-	}
-}
-
 // TestFutureDoubleFillPanics: determining a future twice is a programming
 // error the runtime must catch.
 func TestFutureDoubleFillPanics(t *testing.T) {

@@ -46,8 +46,9 @@
 // cheaply on touch sets and resuming when replies determine their futures.
 // Remote invocations travel as active messages carrying continuations;
 // under the hybrid model arriving requests are executed directly from the
-// message buffer by schema-specific wrappers (runWrapper), so even remote
-// work usually needs no context.
+// message buffer by schema-specific wrappers (handleMsg), so even remote
+// work usually needs no context. Stack calls, local forwards and wrappers
+// all run the sequential version through one helper, runSeq.
 //
 // The Config chooses between the full hybrid model (DefaultHybrid) and the
 // heap-only baseline the paper compares against (ParallelOnly), restricts

@@ -70,7 +70,7 @@ type Frame struct {
 	// replyDeferred marks that Reply parked the result on the target
 	// object's deferred list (a durable mutation awaiting its checkpoint
 	// ack) instead of delivering it; stack callers must then wait as if the
-	// callee had forwarded (see stackCall).
+	// callee had forwarded (see runSeq).
 	replyDeferred bool
 	// dead marks a frame killed by a fail-stop crash of its node. Dead
 	// frames are abandoned — never recycled — so stale continuations from
@@ -108,6 +108,25 @@ func (fr *Frame) Fut(i int) Word {
 
 // FutFull reports whether future slot i has been determined.
 func (fr *Frame) FutFull(i int) bool { return fr.fut[i].Full }
+
+// landed reports whether the reply an invocation directed to slot has been
+// delivered: the future is full or, for JoinDiscard, no join reply is
+// outstanding.
+func (fr *Frame) landed(slot int) bool {
+	if slot == JoinDiscard {
+		return fr.joinOut == 0
+	}
+	return fr.fut[slot].Full
+}
+
+// pending is the CallStatus of an invocation whose reply has not landed:
+// a caller on the stack must unwind, a heap context goes on running.
+func (fr *Frame) pending() CallStatus {
+	if fr.Mode == StackMode {
+		return NeedUnwind
+	}
+	return Async
+}
 
 // ClearFut empties future slot i so it can be reused (e.g. across loop
 // iterations). Clearing while the frame is waiting on the slot panics.

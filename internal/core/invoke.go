@@ -29,29 +29,54 @@ import (
 // A body receiving NeedUnwind must set fr.PC to its resume point and
 // `return rt.Unwind(fr)`.
 func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) CallStatus {
+	if slot == JoinDiscard {
+		fr.joinOut++
+	}
+	return rt.invoke(fr, m, target, slot, args, false)
+}
+
+// invoke is the one routing path behind Invoke and ForwardTail. After the
+// locality check it takes one of four paths: a request message to a remote
+// target, a heap context parked on the target's held lock, a speculative
+// call on the stack, or a scheduled heap context. The callee replies to
+// future slot `slot` of fr, except for a tail forward (fwd): there it
+// replies through the continuation fr itself received, which is
+// materialized before it leaves the node, and a stack callee runs under
+// the CP convention with the caller_info fr received. OK means the reply
+// has landed (for a forward: the whole chain completed on the stack).
+func (rt *RT) invoke(fr *Frame, m *Method, target Ref, slot int, args []Word, fwd bool) CallStatus {
 	n := fr.Node
 	mdl := rt.Model
-	if rt.Cfg.CheckDecls && !declaredEdge(fr.M.Calls, m) {
-		rt.declViolation(fr, "Calls", m.Name,
-			fmt.Sprintf("invoked %s, which is not in the declared Calls list", m.Name))
+	if rt.Cfg.CheckDecls {
+		if fwd && !declaredEdge(fr.M.Forwards, m) {
+			rt.declViolation(fr, "Forwards", m.Name,
+				fmt.Sprintf("tail-forwarded to %s, which is not in the declared Forwards list", m.Name))
+		}
+		if !fwd && !declaredEdge(fr.M.Calls, m) {
+			rt.declViolation(fr, "Calls", m.Name,
+				fmt.Sprintf("invoked %s, which is not in the declared Calls list", m.Name))
+		}
 	}
 	if !rt.Cfg.SeqOpt {
 		n.charge(instr.OpCheck, mdl.NameTranslate+mdl.LocalityCheck)
 	}
 	n.Stats.Invokes++
-	if slot == JoinDiscard {
-		fr.joinOut++
+	cont := Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}
+	if fwd {
+		cont = fr.RetCont
 	}
 
 	obj, loc := n.lookup(target)
 	if obj == nil {
 		n.Stats.RemoteInvokes++
 		rt.traceEvent(n, uint8(trace.KInvoke), m, 1)
-		rt.sendRequest(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}, loc)
-		if fr.Mode == StackMode {
-			return NeedUnwind
+		if fwd {
+			// Forwarding off-node requires the continuation to actually
+			// exist (Section 3.2.3): materialize it per caller_info first.
+			rt.materializeCont(n, fr, cont)
 		}
-		return Async
+		rt.sendRequest(n, m, target, args, cont, loc)
+		return fr.pending()
 	}
 	n.Stats.LocalInvokes++
 	rt.traceEvent(n, uint8(trace.KInvoke), m, 0)
@@ -60,45 +85,47 @@ func (rt *RT) Invoke(fr *Frame, m *Method, target Ref, slot int, args ...Word) C
 		n.charge(instr.OpCheck, mdl.LockCheck)
 	}
 
-	if rt.Cfg.Hybrid && n.stackDepth < rt.Cfg.MaxStackDepth {
-		if m.Locks && obj.Locked() {
-			// The callee blocks immediately on the lock: create its context
-			// lazily and park it; the caller proceeds as after any fallback.
-			cf := rt.newHeapFrame(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)})
-			obj.waiters.push(cf)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
-			if fr.Mode == StackMode {
-				return NeedUnwind
-			}
-			return Async
+	switch {
+	case !rt.Cfg.Hybrid || n.stackDepth >= rt.Cfg.MaxStackDepth:
+		// Parallel (heap-based) invocation.
+		rt.schedule(n, rt.newHeapFrame(n, m, target, args, cont))
+	case m.Locks && obj.Locked():
+		// The callee blocks immediately on the lock: create its context
+		// lazily and park it; the caller proceeds as after any fallback.
+		rt.parkOnLock(n, obj, rt.newHeapFrame(n, m, target, args, cont))
+	default:
+		// A local forward passes return_val_ptr and caller_info along on
+		// the stack; the chain's root finds the result in return_val.
+		sch, ci := m.Emitted, CallerInfo{CtxExists: fr.promoted}
+		if fwd {
+			sch, ci = SchemaCP, fr.CInfo
 		}
-		return rt.stackCall(n, fr, m, obj, target, slot, args)
+		rt.chargeCall(n, sch, len(args))
+		n.Stats.StackCalls++
+		rt.traceEvent(n, uint8(trace.KStackCall), m, 0)
+		st := rt.runSeq(n, m, obj, target, args, cont, ci)
+		if st == Done || st == Forwarded && !fwd && fr.landed(slot) {
+			return OK
+		}
 	}
-
-	// Parallel (heap-based) invocation.
-	cf := rt.newHeapFrame(n, m, target, args, Cont{Fr: fr, Slot: slot, Node: int32(n.ID)})
-	rt.scheduleOrPark(n, cf)
-	if fr.Mode == StackMode {
-		return NeedUnwind
-	}
-	return Async
+	// Read the mode only now: a callee that captured its continuation has
+	// promoted fr.
+	return fr.pending()
 }
 
-// stackCall performs the speculative sequential invocation of m on the
-// (local, lock-free) object obj, on behalf of fr.
-func (rt *RT) stackCall(n *NodeRT, fr *Frame, m *Method, obj *Object, target Ref, slot int, args []Word) CallStatus {
-	mdl := rt.Model
-	n.charge(instr.OpCall, mdl.CCall+mdl.CArgWord*instr.Instr(len(args)))
-	rt.chargeSchema(n, m.Emitted)
-	n.Stats.StackCalls++
-	rt.traceEvent(n, uint8(trace.KStackCall), m, 0)
-
+// runSeq runs m's sequential version on the stack against the resident
+// object obj, with reply continuation cont and caller_info ci: a stack
+// call, a local forward, or a wrapper running an arrived request straight
+// out of its message buffer. When the body returns, runSeq links or retires
+// the frame by status and passes the status on, except that a callee whose
+// reply is held for a group commit reports Forwarded: its reply has not
+// landed yet, as for a forwarding chain still in flight.
+func (rt *RT) runSeq(n *NodeRT, m *Method, obj *Object, target Ref, args []Word, cont Cont, ci CallerInfo) Status {
 	cf := n.pool.checkout(m, n, target, args)
 	rt.frameCreated(n, obj)
 	cf.Mode = StackMode
-	cf.RetCont = Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}
-	cf.CInfo = CallerInfo{CtxExists: fr.promoted}
+	cf.RetCont = cont
+	cf.CInfo = ci
 	if m.Locks {
 		obj.locked = true
 		cf.lockObj = obj
@@ -107,7 +134,7 @@ func (rt *RT) stackCall(n *NodeRT, fr *Frame, m *Method, obj *Object, target Ref
 	n.stackDepth++
 	prevM := n.curM
 	n.curM = m
-	st := m.seq()(rt, cf)
+	st := m.Body(rt, cf)
 	n.curM = prevM
 	n.stackDepth--
 
@@ -115,55 +142,33 @@ func (rt *RT) stackCall(n *NodeRT, fr *Frame, m *Method, obj *Object, target Ref
 	case Done:
 		deferred := cf.replyDeferred
 		rt.complete(n, cf)
-		if !deferred {
-			return OK
+		if deferred {
+			return Forwarded
 		}
-		// The callee group-committed: it finished, but its reply is held
-		// until the covering checkpoint is acked, so the caller's slot is
-		// not filled yet. Same shape as a Forwarded chain still in flight.
-		if slot != JoinDiscard && fr.FutFull(slot) {
-			return OK
-		}
-		if slot == JoinDiscard && fr.joinOut == 0 {
-			return OK
-		}
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
 	case Unwound:
 		// The callee fell back. Its lazily-created context now lives in the
-		// heap with our continuation linked into it (the caller-side work of
-		// Figure 6); the caller must in turn revert to its parallel version.
-		n.charge(instr.OpFallback, mdl.LinkCont)
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
+		// heap with the continuation linked into it (the caller-side work of
+		// Figure 6); a stack caller must in turn revert to its parallel
+		// version.
+		n.charge(instr.OpFallback, rt.Model.LinkCont)
 	case Forwarded:
-		// The callee passed its reply obligation along. If the forwarding
-		// chain completed synchronously the result has already landed in our
-		// slot ("executing the forwarded continuation completely on the
-		// stack", Section 3.2.3); otherwise we must wait for it.
-		rt.completeForwarded(n, cf)
-		if slot != JoinDiscard && fr.FutFull(slot) {
-			return OK
-		}
-		if slot == JoinDiscard && fr.joinOut == 0 {
-			return OK
-		}
-		if fr.Mode == StackMode {
-			return NeedUnwind
-		}
-		return Async
+		// The callee passed its reply obligation along. If the chain
+		// completed synchronously the result has already landed
+		// ("executing the forwarded continuation completely on the stack",
+		// Section 3.2.3).
+		rt.retire(n, cf)
+	default:
+		panic(fmt.Sprintf("core: %s returned invalid status %d", m.Name, st))
 	}
-	panic("core: invalid body status")
+	return st
 }
 
-// chargeSchema charges the sequential calling-convention overhead beyond a
-// plain call (Table 2's 6-8 instruction schema costs).
-func (rt *RT) chargeSchema(n *NodeRT, s Schema) {
+// chargeCall charges a sequential call passing nargs argument words under
+// calling convention s: the plain call, then the convention's overhead
+// beyond it (Table 2's 6-8 instruction schema costs).
+func (rt *RT) chargeCall(n *NodeRT, s Schema, nargs int) {
 	mdl := rt.Model
+	n.charge(instr.OpCall, mdl.CCall+mdl.CArgWord*instr.Instr(nargs))
 	switch s {
 	case SchemaNB:
 		n.charge(instr.OpSchema, mdl.NBExtra)
@@ -184,8 +189,7 @@ func (rt *RT) Unwind(fr *Frame) Status {
 		rt.promote(n, fr)
 	}
 	fr.Mode = HeapMode
-	n.runq.push(fr)
-	n.charge(instr.OpSched, rt.Model.Enqueue)
+	rt.schedule(n, fr)
 	return Unwound
 }
 
@@ -220,10 +224,18 @@ func (rt *RT) newHeapFrame(n *NodeRT, m *Method, target Ref, args []Word, cont C
 	return cf
 }
 
-// scheduleOrPark enqueues a ready heap context on the run queue.
-func (rt *RT) scheduleOrPark(n *NodeRT, cf *Frame) {
-	n.runq.push(cf)
+// schedule enqueues a ready heap context on the run queue.
+func (rt *RT) schedule(n *NodeRT, fr *Frame) {
+	n.runq.push(fr)
 	n.charge(instr.OpSched, rt.Model.Enqueue)
+}
+
+// parkOnLock queues the heap context cf on obj's held lock; the holder's
+// retirement hands the lock to its waiters in FIFO order (see retire).
+func (rt *RT) parkOnLock(n *NodeRT, obj *Object, cf *Frame) {
+	obj.waiters.push(cf)
+	n.Stats.LockBlocks++
+	rt.traceEvent(n, uint8(trace.KLockBlock), cf.M, 0)
 }
 
 // TouchAll synchronizes on the set of future slots in mask (paper
@@ -319,94 +331,17 @@ func (rt *RT) Reply(fr *Frame, val Word) {
 // `return rt.ForwardTail(...)` — the result is Done if the forwarding chain
 // completed synchronously on the stack, Forwarded otherwise.
 func (rt *RT) ForwardTail(fr *Frame, m *Method, target Ref, args ...Word) Status {
-	n := fr.Node
-	mdl := rt.Model
-	if rt.Cfg.CheckDecls && !declaredEdge(fr.M.Forwards, m) {
-		rt.declViolation(fr, "Forwards", m.Name,
-			fmt.Sprintf("tail-forwarded to %s, which is not in the declared Forwards list", m.Name))
-	}
-	if !rt.Cfg.SeqOpt {
-		n.charge(instr.OpCheck, mdl.NameTranslate+mdl.LocalityCheck)
-	}
-	n.Stats.Invokes++
 	if fr.captured {
 		panic(fmt.Sprintf("core: %s forwarded after capturing its continuation", fr.M.Name))
 	}
-	cont := fr.RetCont
 	fr.captured = true
-
-	obj, loc := n.lookup(target)
-	if obj == nil {
-		// Forwarding off-node requires the continuation to actually exist
-		// (Section 3.2.3): materialize it per caller_info, then ship it.
-		n.Stats.RemoteInvokes++
-		rt.materializeCont(n, fr, cont)
-		rt.sendRequest(n, m, target, args, cont, loc)
+	if rt.invoke(fr, m, target, 0, args, true) != OK {
 		return Forwarded
 	}
-	n.Stats.LocalInvokes++
-	rt.noteAccess(n, obj, n.ID, fr.Self == target)
-	if m.Locks && !rt.Cfg.SeqOpt {
-		n.charge(instr.OpCheck, mdl.LockCheck)
-	}
-
-	if rt.Cfg.Hybrid && n.stackDepth < rt.Cfg.MaxStackDepth {
-		if m.Locks && obj.Locked() {
-			cf := rt.newHeapFrame(n, m, target, args, cont)
-			obj.waiters.push(cf)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
-			return Forwarded
-		}
-		// Local forward: pass return_val_ptr and caller_info along on the
-		// stack; the chain's root will find the result in return_val.
-		n.charge(instr.OpCall, mdl.CCall+mdl.CArgWord*instr.Instr(len(args)))
-		rt.chargeSchema(n, SchemaCP)
-		n.Stats.StackCalls++
-
-		cf := n.pool.checkout(m, n, target, args)
-		rt.frameCreated(n, obj)
-		cf.Mode = StackMode
-		cf.RetCont = cont
-		cf.CInfo = fr.CInfo // caller_info is simply passed along
-		if m.Locks {
-			obj.locked = true
-			cf.lockObj = obj
-		}
-		rt.noteDurable(n, m, obj)
-		n.stackDepth++
-		prevM := n.curM
-		n.curM = m
-		st := m.seq()(rt, cf)
-		n.curM = prevM
-		n.stackDepth--
-		switch st {
-		case Done:
-			// The whole forwarded chain completed synchronously: our reply
-			// obligation is discharged, so this activation finishes normally.
-			// Unless the tail group-committed — then the forwarded
-			// continuation is parked in its deferred queue, not yet
-			// delivered, and the chain is still in flight.
-			deferred := cf.replyDeferred
-			rt.complete(n, cf)
-			if deferred {
-				return Forwarded
-			}
-			fr.captured = false
-			return Done
-		case Unwound:
-			n.charge(instr.OpFallback, mdl.LinkCont)
-			return Forwarded
-		case Forwarded:
-			rt.completeForwarded(n, cf)
-			return Forwarded
-		}
-		panic("core: invalid body status")
-	}
-	// Parallel path: heap context carries the continuation.
-	cf := rt.newHeapFrame(n, m, target, args, cont)
-	rt.scheduleOrPark(n, cf)
-	return Forwarded
+	// The whole chain completed: the reply obligation is discharged, so
+	// this activation finishes normally.
+	fr.captured = false
+	return Done
 }
 
 // CaptureCont explicitly captures the activation's continuation as a
@@ -513,8 +448,7 @@ func (rt *RT) deliverLocal(n *NodeRT, c Cont, val Word, viaStack bool) {
 func (rt *RT) wakeFrame(n *NodeRT, fr *Frame) {
 	fr.waiting = false
 	fr.touch = 0
-	n.runq.push(fr)
-	n.charge(instr.OpSched, rt.Model.Enqueue)
+	rt.schedule(n, fr)
 	rt.traceEvent(n, uint8(trace.KWake), fr.M, 0)
 }
 

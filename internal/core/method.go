@@ -24,11 +24,6 @@ type Method struct {
 
 	// Body is the general version, used for both stack and heap execution.
 	Body BodyFunc
-	// SeqBody, if non-nil, is a specialized sequential version used for
-	// stack execution (the paper generates separately optimized versions;
-	// most methods here share one body, but e.g. Seq-opt comparisons and
-	// leaf methods can provide a tighter sequential form).
-	SeqBody BodyFunc
 
 	// NArgs, NLocals and NFutures size the activation frame.
 	NArgs    int
@@ -67,14 +62,6 @@ type Method struct {
 
 // MayBlock reports the transitive may-block property (valid after Resolve).
 func (m *Method) MayBlock() bool { return m.resolvedMayBlock }
-
-// seq returns the body to use for stack execution.
-func (m *Method) seq() BodyFunc {
-	if m.SeqBody != nil {
-		return m.SeqBody
-	}
-	return m.Body
-}
 
 // Program is the registry of methods — the unit the "compiler" operates on.
 type Program struct {

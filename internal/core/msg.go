@@ -219,13 +219,33 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	n.charge(instr.OpMsg, mdl.MsgRecvBase+mdl.MsgPerWord*instr.Instr(msg.words()))
 	rt.noteAccess(n, obj, int(msg.from), false)
 
-	if rt.Cfg.Hybrid && rt.Cfg.Wrappers {
-		rt.runWrapper(n, m, obj, msg)
+	if !rt.Cfg.Hybrid || !rt.Cfg.Wrappers {
+		// Parallel-only path: allocate and schedule a heap context.
+		rt.schedule(n, rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont))
 		return
 	}
-	// Parallel-only path: allocate and schedule a heap context.
-	cf := rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont)
-	rt.scheduleOrPark(n, cf)
+	if m.Locks {
+		n.charge(instr.OpCheck, mdl.LockCheck)
+		if obj.Locked() {
+			// Cannot run from the buffer: park a heap context on the lock.
+			rt.parkOnLock(n, obj, rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont))
+			return
+		}
+	}
+	// The schema-specific wrapper (Figure 8) runs the stack version straight
+	// out of the buffer, with the message's continuation standing in for the
+	// caller:
+	//
+	//   - NB: the body runs and its reply (if any — reactive computations may
+	//     not produce one) is passed to the waiting future via the continuation;
+	//   - MB: additionally, if the method blocks, the continuation is placed in
+	//     the lazily-created callee context;
+	//   - CP: a proxy context supplies caller_info saying the context exists
+	//     and the continuation was forwarded, so lazy capture just extracts it.
+	n.Stats.WrapperRuns++
+	rt.traceEvent(n, uint8(trace.KWrapper), m, 0)
+	rt.chargeCall(n, m.Emitted, len(msg.args))
+	rt.runSeq(n, m, obj, msg.target, msg.args, msg.cont, CallerInfo{CtxExists: true, Forwarded: true})
 }
 
 func methodName(m *Method) string {
@@ -239,58 +259,3 @@ func methodName(m *Method) string {
 // real runtime would fragment beyond this, which the model does not —
 // exceeding it is a programming error.
 const DefaultMaxMsgWords = 4096
-
-// runWrapper executes an arrived request through the schema-specific
-// wrapper (Figure 8): the stack version runs straight out of the buffer,
-// with the message's continuation standing in for the caller:
-//
-//   - NB: the body runs and its reply (if any — reactive computations may
-//     not produce one) is passed to the waiting future via the continuation;
-//   - MB: additionally, if the method blocks, the continuation is placed in
-//     the lazily-created callee context;
-//   - CP: a proxy context supplies caller_info saying the context exists
-//     and the continuation was forwarded, so lazy capture just extracts it.
-func (rt *RT) runWrapper(n *NodeRT, m *Method, obj *Object, msg *Msg) {
-	if m.Locks {
-		n.charge(instr.OpCheck, rt.Model.LockCheck)
-		if obj.Locked() {
-			// Cannot run from the buffer: park a heap context on the lock.
-			cf := rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont)
-			obj.waiters.push(cf)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
-			return
-		}
-	}
-	n.Stats.WrapperRuns++
-	rt.traceEvent(n, uint8(trace.KWrapper), m, 0)
-	n.charge(instr.OpCall, rt.Model.CCall+rt.Model.CArgWord*instr.Instr(len(msg.args)))
-	rt.chargeSchema(n, m.Emitted)
-
-	cf := n.pool.checkout(m, n, msg.target, msg.args)
-	rt.frameCreated(n, obj)
-	cf.Mode = StackMode
-	cf.RetCont = msg.cont
-	cf.CInfo = CallerInfo{CtxExists: true, Forwarded: true} // proxy context
-	if m.Locks {
-		obj.locked = true
-		cf.lockObj = obj
-	}
-	rt.noteDurable(n, m, obj)
-	n.stackDepth++
-	prevM := n.curM
-	n.curM = m
-	st := m.seq()(rt, cf)
-	n.curM = prevM
-	n.stackDepth--
-	switch st {
-	case Done:
-		rt.complete(n, cf)
-	case Unwound:
-		// MB wrapper case: the continuation is (already) linked into the
-		// callee's lazily-created context.
-		n.charge(instr.OpFallback, rt.Model.LinkCont)
-	case Forwarded:
-		rt.completeForwarded(n, cf)
-	}
-}

@@ -155,8 +155,7 @@ func (rt *RT) StartOn(node int, m *Method, target Ref, res *Result, args ...Word
 		panic("core: StartOn node does not own target")
 	}
 	n := rt.Nodes[node]
-	cf := rt.newHeapFrame(n, m, target, args, Cont{Root: res})
-	rt.scheduleOrPark(n, cf)
+	rt.schedule(n, rt.newHeapFrame(n, m, target, args, Cont{Root: res}))
 	rt.Eng.Wake(n.Sim)
 }
 

@@ -20,9 +20,7 @@ func (rt *RT) runContext(n *NodeRT, fr *Frame) {
 			panic("core: context scheduled for an object that is not resident")
 		}
 		if !obj.tryLock() {
-			obj.waiters.push(fr)
-			n.Stats.LockBlocks++
-			rt.traceEvent(n, uint8(trace.KLockBlock), m, 0)
+			rt.parkOnLock(n, obj, fr)
 			return
 		}
 		fr.lockObj = obj
@@ -44,15 +42,14 @@ func (rt *RT) runContext(n *NodeRT, fr *Frame) {
 		// The frame parked itself (waiting on futures, re-enqueued, or on a
 		// lock queue); nothing to do here.
 	case Forwarded:
-		rt.completeForwarded(n, fr)
+		rt.retire(n, fr)
 	default:
 		panic(fmt.Sprintf("core: %s returned invalid status %d", m.Name, st))
 	}
 }
 
-// complete retires a finished activation: the object lock is released
-// (transferring it to the next waiter, which becomes runnable), and the
-// frame returns to the pool. Heap contexts additionally pay reclamation.
+// complete retires an activation that returned Done. One that captured
+// its continuation must return Forwarded instead.
 func (rt *RT) complete(n *NodeRT, fr *Frame) {
 	if fr.captured {
 		panic(fmt.Sprintf("core: %s completed normally after capturing its continuation", fr.M.Name))
@@ -60,12 +57,9 @@ func (rt *RT) complete(n *NodeRT, fr *Frame) {
 	rt.retire(n, fr)
 }
 
-// completeForwarded retires an activation whose reply obligation moved
-// elsewhere.
-func (rt *RT) completeForwarded(n *NodeRT, fr *Frame) {
-	rt.retire(n, fr)
-}
-
+// retire releases a finished activation: the object lock is released
+// (transferring it to the next waiter, which becomes runnable), and the
+// frame returns to the pool. Heap contexts additionally pay reclamation.
 func (rt *RT) retire(n *NodeRT, fr *Frame) {
 	rt.traceEvent(n, uint8(trace.KComplete), fr.M, 0)
 	if fr.lockObj != nil {
@@ -78,7 +72,7 @@ func (rt *RT) retire(n *NodeRT, fr *Frame) {
 		if next != nil {
 			// Transfer the lock to the next parked activation and schedule it.
 			next.lockObj = fr.lockObj
-			rt.scheduleOrPark(n, next)
+			rt.schedule(n, next)
 		}
 		fr.lockObj = nil
 	}

@@ -9,45 +9,71 @@ import (
 )
 
 // TestTraceCapturesExecutionShape: the trace of a two-node run must show
-// the hybrid model's signature events in consistent quantities.
+// the hybrid model's signature events in the quantities NodeStats counts.
+// The forward case tail-forwards once to a local object and once to a
+// remote one: a forward is an invocation, traced like one.
 func TestTraceCapturesExecutionShape(t *testing.T) {
-	p := NewProgram()
-	fib := buildFib(p)
+	t.Run("fib", func(t *testing.T) {
+		p := NewProgram()
+		fib := buildFib(p)
+		rt, buf := tracedRun(t, p)
+		self := rt.Node(0).NewObject(nil)
+		var res Result
+		rt.StartOn(0, fib, self, &res, IntW(12))
+		rt.Run()
+		if !res.Done {
+			t.Fatal("incomplete")
+		}
+		checkTraceShape(t, rt, buf)
+	})
+	t.Run("forward", func(t *testing.T) {
+		p := NewProgram()
+		root, _, _ := buildForwardChain(p)
+		rt, buf := tracedRun(t, p)
+		driver := rt.Node(0).NewObject(nil)
+		var local, remote Result
+		rt.StartOn(0, root, driver, &local, IntW(20), RefW(rt.Node(0).NewObject(nil)))
+		rt.StartOn(0, root, driver, &remote, IntW(20), RefW(rt.Node(1).NewObject(nil)))
+		rt.Run()
+		if !local.Done || local.Val.Int() != 42 || !remote.Done || remote.Val.Int() != 42 {
+			t.Fatalf("results %+v %+v, want 42 twice", local, remote)
+		}
+		checkTraceShape(t, rt, buf)
+	})
+}
+
+// tracedRun makes a two-node hybrid runtime for p with a trace buffer.
+func tracedRun(t *testing.T, p *Program) (*RT, *trace.Buffer) {
+	t.Helper()
 	if err := p.Resolve(Interfaces3); err != nil {
 		t.Fatal(err)
 	}
 	buf := trace.NewBuffer(1 << 18)
 	cfg := DefaultHybrid()
 	cfg.Tracer = buf
+	return NewRT(sim.NewEngine(2), machine.CM5(), p, cfg), buf
+}
 
-	eng := sim.NewEngine(2)
-	rt := NewRT(eng, machine.CM5(), p, cfg)
-	self := rt.Node(0).NewObject(nil)
-	var res Result
-	rt.StartOn(0, fib, self, &res, IntW(12))
-	rt.Run()
-	if !res.Done {
-		t.Fatal("incomplete")
-	}
+// checkTraceShape asserts that every counted invocation, stack call,
+// fallback, context allocation and suspend was traced, and that each
+// node's events are stamped with monotone times.
+func checkTraceShape(t *testing.T, rt *RT, buf *trace.Buffer) {
+	t.Helper()
 	s := rt.TotalStats()
-	if got := buf.Count(trace.KStackCall); got != s.StackCalls {
-		t.Errorf("traced stack calls %d != stats %d", got, s.StackCalls)
+	for _, c := range []struct {
+		kind trace.Kind
+		want int64
+	}{
+		{trace.KInvoke, s.Invokes},
+		{trace.KStackCall, s.StackCalls},
+		{trace.KFallback, s.Fallbacks},
+		{trace.KCtxAlloc, s.HeapInvokes},
+		{trace.KSuspend, s.Suspends},
+	} {
+		if got := buf.Count(c.kind); got != c.want {
+			t.Errorf("traced %s %d != stats %d", c.kind, got, c.want)
+		}
 	}
-	if got := buf.Count(trace.KFallback); got != s.Fallbacks {
-		t.Errorf("traced fallbacks %d != stats %d", got, s.Fallbacks)
-	}
-	if got := buf.Count(trace.KCtxAlloc); got != s.HeapInvokes {
-		t.Errorf("traced ctx allocs %d != stats %d", got, s.HeapInvokes)
-	}
-	if got := buf.Count(trace.KSuspend); got != s.Suspends {
-		t.Errorf("traced suspends %d != stats %d", got, s.Suspends)
-	}
-	// Every invocation shows up.
-	if got := buf.Count(trace.KInvoke); got != s.Invokes {
-		t.Errorf("traced invokes %d != stats %d", got, s.Invokes)
-	}
-	// Local run: completions >= stack calls (each stack call completes) and
-	// all events stamped with monotone per-node times.
 	last := map[int32]Instr{}
 	for _, e := range buf.Events() {
 		if e.At < last[e.Node] {

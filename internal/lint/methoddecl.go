@@ -8,7 +8,7 @@ import (
 )
 
 // MethodDecl is the schema-declaration verifier: it locates core.Method
-// composite literals, resolves their Body/SeqBody functions, derives the
+// composite literals, resolves their Body functions, derives the
 // ground-truth analysis inputs from the bodies' syntax, and cross-checks
 // them against the declared fields. See the package comment for the
 // unsound/pessimizing diagnostic classes and the conservatism rules.
@@ -29,7 +29,7 @@ var corePaths = map[string]string{
 // analyzer understands; a selector ending in one of these on a known method
 // binding is a field update, not a new binding.
 var methodFields = map[string]bool{
-	"Name": true, "Body": true, "SeqBody": true,
+	"Name": true, "Body": true,
 	"NArgs": true, "NLocals": true, "NFutures": true,
 	"Locks": true, "MayBlockLocal": true, "Captures": true,
 	"Calls": true, "Forwards": true,
@@ -87,7 +87,7 @@ type declInfo struct {
 	callsIncomplete, forwardsIncomplete bool
 
 	bodies      []*ast.FuncLit
-	bodyUnknown bool // Body/SeqBody assigned something that is not a func literal
+	bodyUnknown bool // Body assigned something that is not a func literal
 
 	d derived
 }
@@ -355,7 +355,7 @@ func (c *collector) applyField(fr *frame, d *declInfo, field string, val ast.Exp
 				d.name = s
 			}
 		}
-	case "Body", "SeqBody":
+	case "Body":
 		if fn, ok := val.(*ast.FuncLit); ok {
 			d.bodies = append(d.bodies, fn)
 		} else {
