@@ -28,11 +28,6 @@ build:
 test:
 	$(GO) test ./...
 
-# Full verification record, as shipped in test_output.txt / bench_output.txt.
-record:
-	$(GO) test -count=1 ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem -run XXXnone ./... 2>&1 | tee bench_output.txt
-
 bench:
 	$(GO) test -bench=. -benchmem -run XXXnone ./...
 

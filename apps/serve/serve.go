@@ -307,11 +307,6 @@ type Params struct {
 	// MaxRetries bounds re-issues per request (0 with RetryAfter set means
 	// retries are armed but never fired — effectively off).
 	MaxRetries int
-	// HedgeAfter, when positive, launches one extra speculative attempt
-	// HedgeAfter after arrival if the request is still unfinished — a
-	// tail-latency hedge, fired once and not counted against MaxRetries.
-	// Only meaningful with RetryAfter set (it needs the dedup variant).
-	HedgeAfter instr.Instr
 }
 
 // DefaultParams returns the reference (small/CI) Table 9 workload: 8 nodes,
@@ -380,7 +375,7 @@ type Result struct {
 	Messages      int64
 	Moves         int64 // objects migrated during the run
 	Lost          int64 // requests that never completed (crash-lost work)
-	Retries       int64 // request re-issues (deadline retries + hedges)
+	Retries       int64 // deadline-based request re-issues
 	Recovery      core.RecoveryStats
 	Stats         core.NodeStats
 	Counters      instr.Counters
@@ -456,26 +451,24 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		}
 		rt.StartOn(rq.Front, m.Request, fronts[rq.Front], nil, core.IntW(int64(rq.ID)))
 	}
-	// reissue is one deadline retry or hedge: counted and traced on the
-	// frontend, then launched exactly like the original attempt. The
-	// original attempt (if any) keeps running; App.complete keeps only the
-	// first completion, and the deduplicating RMW variant keeps the
-	// duplicated mutations exactly-once.
-	reissue := func(rq *load.Req) {
-		rt.Node(rq.Front).Stats.ReqRetries++
-		if app.tracer != nil {
-			app.tracer.Record(rq.Front, eng.Now(), uint8(trace.KReqRetry),
-				"serve.request", int64(rq.ID))
-		}
-		launch(rq)
-	}
+	// deadline arms retry try of request rqID, wait from now. A retry is
+	// counted and traced on the frontend, then launched exactly like the
+	// original attempt. The original attempt (if any) keeps running;
+	// App.complete keeps only the first completion, and the deduplicating
+	// RMW variant keeps the duplicated mutations exactly-once.
 	var deadline func(rqID int, try int, wait instr.Instr)
 	deadline = func(rqID, try int, wait instr.Instr) {
 		eng.AfterFunc(wait, func() {
 			if app.finished[rqID] {
 				return
 			}
-			reissue(&app.reqs[rqID])
+			rq := &app.reqs[rqID]
+			rt.Node(rq.Front).Stats.ReqRetries++
+			if app.tracer != nil {
+				app.tracer.Record(rq.Front, eng.Now(), uint8(trace.KReqRetry),
+					"serve.request", int64(rq.ID))
+			}
+			launch(rq)
 			if try+1 < p.MaxRetries {
 				next := wait * 2
 				if cap := p.RetryAfter * 8; next > cap {
@@ -500,13 +493,6 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 			launch(&app.reqs[id])
 			if p.RetryAfter > 0 && p.MaxRetries > 0 {
 				deadline(id, 0, p.RetryAfter)
-			}
-			if p.HedgeAfter > 0 {
-				eng.AfterFunc(p.HedgeAfter, func() {
-					if !app.finished[id] {
-						reissue(&app.reqs[id])
-					}
-				})
 			}
 			if nxt, ok := gen.Next(); ok {
 				inject(nxt)

@@ -55,8 +55,8 @@ type Metrics struct {
 	intervals int // retained busy intervals across all nodes
 	truncated bool
 	kinds     [trace.NumKinds]int64
-	msgWords  Hist
-	suspend   Hist
+	msgWords  summary
+	suspend   summary
 	err       error // first attribution-contiguity violation
 
 	// Serving-request tracking (KReqArrive/KReqDone pairs). The latency
@@ -261,12 +261,12 @@ func (m *Metrics) Record(node int, at instr.Instr, kind uint8, method string, au
 			np.pending[method] = q[1:]
 			mp.SuspendSum += d
 			mp.SuspendPairs++
-			m.suspend.Add(d)
+			m.suspend.add(d)
 		}
 	case trace.KMsgSend:
 		peer, seq, words := trace.UnpackMsg(aux)
 		m.sends[sendKey(int32(node), int32(peer), seq)] = t
-		m.msgWords.Add(int64(words))
+		m.msgWords.add(int64(words))
 	case trace.KMsgRecv:
 		peer, seq, words := trace.UnpackMsg(aux)
 		np.arrivals = append(np.arrivals, arrival{
@@ -305,22 +305,6 @@ func (m *Metrics) Truncated() bool { return m.truncated }
 
 // NumNodes returns the number of nodes observed.
 func (m *Metrics) NumNodes() int { return len(m.nodes) }
-
-// NodeTotal returns node's attributed cycles — its final virtual clock.
-func (m *Metrics) NodeTotal(node int) int64 {
-	if node < len(m.nodes) {
-		return m.nodes[node].total
-	}
-	return 0
-}
-
-// NodeOp returns node's attributed cycles under one accounting category.
-func (m *Metrics) NodeOp(node int, op instr.Op) int64 {
-	if node < len(m.nodes) && op < instr.NumOps {
-		return m.nodes[node].ops[op]
-	}
-	return 0
-}
 
 // MaxClock returns the maximum attributed node clock — the parallel
 // completion time of the run.
@@ -387,12 +371,6 @@ func (m *Metrics) TailRequests(q float64) []ReqRecord {
 	return out
 }
 
-// MsgWordsHist returns the histogram of sent-message payload sizes.
-func (m *Metrics) MsgWordsHist() *Hist { return &m.msgWords }
-
-// SuspendHist returns the histogram of suspend->wake durations.
-func (m *Metrics) SuspendHist() *Hist { return &m.suspend }
-
 // CheckAttribution verifies the accounting invariant: on every node the
 // observed charges were contiguous from clock zero, so per-op attribution
 // sums to the node's final virtual clock exactly. A non-nil error means a
@@ -416,40 +394,27 @@ func (m *Metrics) CheckAttribution() error {
 	return nil
 }
 
-// Hist is a power-of-two-bucket histogram of non-negative values.
-type Hist struct {
-	Buckets [64]int64 // Buckets[i] counts values with bit-length i (v=0 -> 0)
-	Count   int64
-	Sum     int64
-	Max     int64
+// summary is the count, sum and maximum of non-negative values.
+type summary struct {
+	count, sum, max int64
 }
 
-// Add records v (negative values are clamped to zero).
-func (h *Hist) Add(v int64) {
+// add records v (negative values are clamped to zero).
+func (h *summary) add(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.Buckets[bitLen(v)]++
-	h.Count++
-	h.Sum += v
-	if v > h.Max {
-		h.Max = v
+	h.count++
+	h.sum += v
+	if v > h.max {
+		h.max = v
 	}
 }
 
-// Mean returns the average recorded value (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
+// mean returns the average recorded value (0 when empty).
+func (h *summary) mean() float64 {
+	if h.count == 0 {
 		return 0
 	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-func bitLen(v int64) int {
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
+	return float64(h.sum) / float64(h.count)
 }

@@ -58,20 +58,20 @@ func (m *Metrics) AttributionTable(title string) stats.Table {
 }
 
 // WriteReport renders the full profile: attribution table, the critical
-// path partition, and message/suspend histograms. seconds, if non-nil,
+// path partition, and message/suspend summaries. seconds, if non-nil,
 // converts instructions to modeled seconds for the path report.
 func (m *Metrics) WriteReport(w io.Writer, title string, seconds func(int64) float64) {
 	tab := m.AttributionTable(title)
 	tab.Render(w)
 	fmt.Fprintln(w)
 	m.CriticalPath().WritePath(w, seconds)
-	if m.msgWords.Count > 0 {
+	if m.msgWords.count > 0 {
 		fmt.Fprintf(w, "messages: %d sent, mean %.1f words, max %d\n",
-			m.msgWords.Count, m.msgWords.Mean(), m.msgWords.Max)
+			m.msgWords.count, m.msgWords.mean(), m.msgWords.max)
 	}
-	if m.suspend.Count > 0 {
+	if m.suspend.count > 0 {
 		fmt.Fprintf(w, "suspends: %d paired, mean %.0f instr, max %d\n",
-			m.suspend.Count, m.suspend.Mean(), m.suspend.Max)
+			m.suspend.count, m.suspend.mean(), m.suspend.max)
 	}
 	if m.Truncated() {
 		fmt.Fprintln(w, "note: detail log truncated (aggregates exact; path/export partial)")
