@@ -132,12 +132,27 @@ func (n *NodeRT) inLink(src int) *recvLink {
 	return l
 }
 
+// relData is the delivery payload of one reliable data frame: the link
+// epoch and sequence number stamped at transmission, and the message.
+type relData struct {
+	epoch int32
+	seq   uint64
+	msg   *Msg
+}
+
+// relAck is the delivery payload of one cumulative ack frame.
+type relAck struct {
+	epoch  int32
+	cursor uint64
+}
+
 // send transmits one runtime message from node `from` to node `to` with the
 // given modeled payload size and network latency. This is the single choke
 // point for every message the runtime emits (requests, replies, migrations,
-// moved notices): unreliable mode hands the message straight to the engine;
-// reliable mode frames it with a sequence number and takes responsibility
-// for redelivery until acked.
+// moved notices): unreliable mode hands the engine the *Msg itself as the
+// delivery payload; reliable mode frames it with a sequence number (a
+// relData payload) and takes responsibility for redelivery until acked.
+// Either way the engine hands the payload back to RT.Deliver on arrival.
 func (rt *RT) send(from, to *NodeRT, msg *Msg, w int, lat instr.Instr) {
 	if rt.Cfg.Tracer != nil {
 		// The one KMsgSend per transmission, stamped with (destination,
@@ -157,7 +172,7 @@ func (rt *RT) send(from, to *NodeRT, msg *Msg, w int, lat instr.Instr) {
 		// hook (netDelay's Network arm) runs there, where mutating shared
 		// link-contention state is safe under the parallel engine. Serial
 		// execution applies it inline right here, exactly as before.
-		rt.Eng.SendRouted(from.Sim, to.Sim, from.Sim.Clock, lat, w, func() { rt.deliverInbox(to, msg) })
+		rt.Eng.SendRouted(from.Sim, to.Sim, from.Sim.Clock, lat, w, msg)
 		return
 	}
 	l := from.outLink(to.ID)
@@ -193,9 +208,7 @@ func (rt *RT) sendFrame(from, to *NodeRT, l *sendLink, f *relFrame, depart sim.T
 	f.deadline = arrive + sim.Time(f.rto)
 	// The epoch is read at transmission time: a frame re-sequenced by a
 	// rejoin-driven link reset retransmits under the new epoch.
-	epoch, seq, msg := l.epoch, f.seq, f.msg
-	rt.Eng.SendAt(from.Sim, to.Sim, depart, lat, f.words,
-		func() { rt.recvFrame(to, from.ID, epoch, seq, msg) })
+	rt.Eng.SendAt(from.Sim, to.Sim, depart, lat, f.words, relData{epoch: l.epoch, seq: f.seq, msg: f.msg})
 }
 
 // armRetransmit (re)schedules the link's retransmit timer at the earliest
@@ -337,7 +350,6 @@ func (rt *RT) scheduleAck(n *NodeRT, l *recvLink) {
 func (rt *RT) sendAck(n *NodeRT, l *recvLink) {
 	covered := int64(l.cursor - l.acked)
 	l.acked = l.cursor
-	epoch, cursor := l.epoch, l.cursor
 	n.charge(instr.OpMsg, rt.Model.ReplySend)
 	n.Stats.AcksSent++
 	rt.traceEvent(n, uint8(trace.KAckBatch), nil, covered)
@@ -347,8 +359,7 @@ func (rt *RT) sendAck(n *NodeRT, l *recvLink) {
 	// receiver would provoke spurious retransmissions from every sender.
 	now := n.Sim.Now()
 	lat := rt.netDelay(n, peer, ackWords, now, rt.Model.ReplyLatency)
-	rt.Eng.SendAt(n.Sim, peer.Sim, now, lat, ackWords,
-		func() { rt.recvAck(peer, n.ID, epoch, cursor) })
+	rt.Eng.SendAt(n.Sim, peer.Sim, now, lat, ackWords, relAck{epoch: l.epoch, cursor: l.cursor})
 }
 
 // recvAck applies a cumulative ack on the sending side: every pending frame

@@ -199,6 +199,23 @@ func (rt *RT) RunOne(sn *sim.Node) bool {
 	return false
 }
 
+// Deliver implements sim.Runner: it routes one arrived payload by its type.
+// A *Msg (unreliable mode) goes straight to the inbox; a reliable data frame
+// or ack goes to the link layer, which releases data to the inbox in order.
+func (rt *RT) Deliver(sn *sim.Node, from int, payload any) {
+	n := rt.Nodes[sn.ID]
+	switch p := payload.(type) {
+	case *Msg:
+		rt.deliverInbox(n, p)
+	case relData:
+		rt.recvFrame(n, from, p.epoch, p.seq, p.msg)
+	case relAck:
+		rt.recvAck(n, from, p.epoch, p.cursor)
+	default:
+		panic(fmt.Sprintf("core: node %d received an unknown payload %T", sn.ID, payload))
+	}
+}
+
 // LiveFrames returns the machine-wide count of live activation frames; at
 // quiescence it must be zero (the context-leak invariant).
 func (rt *RT) LiveFrames() int64 {

@@ -41,7 +41,7 @@ func BenchmarkNodePump(b *testing.B) {
 	}
 }
 
-// BenchmarkMessageTransport measures Send through delivery.
+// BenchmarkMessageTransport measures SendAt through delivery.
 func BenchmarkMessageTransport(b *testing.B) {
 	eng := NewEngine(2)
 	r := newFifo(eng, 1)
@@ -49,7 +49,7 @@ func BenchmarkMessageTransport(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Send(src, dst, 100, 4, func() { r.push(1, func(*Node) {}) })
+		eng.SendAt(src, dst, src.Clock, 100, 4, func() { r.push(1, func(*Node) {}) })
 		eng.Run()
 	}
 }

@@ -15,8 +15,9 @@ func sendN(t *testing.T, n int, f *Faults) (*Engine, int) {
 	newFifo(eng, 1)
 	eng.SetFaults(f)
 	delivered := 0
+	src := eng.Node(0)
 	for i := 0; i < n; i++ {
-		eng.Send(eng.Node(0), eng.Node(1), 10, 1, func() { delivered++ })
+		eng.SendAt(src, eng.Node(1), src.Clock, 10, 1, func() { delivered++ })
 	}
 	eng.Run()
 	return eng, delivered
@@ -55,8 +56,9 @@ func TestFaultsReorderJitters(t *testing.T) {
 	newFifo(eng, 1)
 	eng.SetFaults(&Faults{Seed: 3, Reorder: 1, JitterMax: 100})
 	var arrivals []Time
+	src := eng.Node(0)
 	for i := 0; i < 50; i++ {
-		eng.Send(eng.Node(0), eng.Node(1), 10, 1, func() { arrivals = append(arrivals, eng.Now()) })
+		eng.SendAt(src, eng.Node(1), src.Clock, 10, 1, func() { arrivals = append(arrivals, eng.Now()) })
 	}
 	eng.Run()
 	if int(eng.FaultStats().Jitters) != 50 {

@@ -35,7 +35,7 @@ func parTranscript(nodes int, lookahead Time, parallel bool) string {
 			return
 		}
 		to := eng.Node((n.ID + 1) % nodes)
-		eng.Send(n, to, lookahead+Time(n.ID%3), 4, func() {
+		eng.SendAt(n, to, n.Clock, lookahead+Time(n.ID%3), 4, func() {
 			fifo.push(to.ID, func(m *Node) { volley(m, hops-1) })
 		})
 	}
@@ -103,7 +103,7 @@ func TestTimerStopShardLocal(t *testing.T) {
 				})
 				// Cross-shard sends force real windows around the cancels.
 				to := eng.Node((n.ID + nodes/2) % nodes)
-				eng.Send(n, to, 20, 2, func() {})
+				eng.SendAt(n, to, n.Clock, 20, 2, func() {})
 			})
 			eng.Wake(eng.Node(i))
 		}

@@ -59,7 +59,10 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 		var seq uint64
 		push := func(at Time, tm *Timer) {
 			seq++
-			ev := event{at: at, seq: seq, timer: tm}
+			ev := event{at: at, seq: seq, p: func() {}, dst: kindCall}
+			if tm != nil {
+				ev.p, ev.dst = tm, kindTimer
+			}
 			cal.push(ev)
 			orc.push(ev)
 		}
@@ -78,7 +81,7 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 					timers[rng.Intn(len(timers))].stopped = true
 				}
 			case r < 8: // compact both queues
-				dead := func(ev *event) bool { return ev.timer != nil && ev.timer.stopped }
+				dead := func(ev *event) bool { return ev.dst == kindTimer && ev.p.(*Timer).stopped }
 				if got, want := cal.compact(dead), orc.compact(dead); got != want {
 					t.Fatalf("trial %d op %d: compact removed %d from calendar, %d from oracle", trial, op, got, want)
 				}

@@ -14,9 +14,13 @@
 // the choice is host-side performance only (the -engine flag).
 //
 // The division of labor with the runtime (internal/core) is: sim owns
-// virtual time, event dispatch, and message transport timing; the runtime
-// owns what a node *does* when it has work (scheduling contexts, running
-// message handlers). The runtime plugs in as a Runner.
+// virtual time, event dispatch, and message transport; the runtime owns what
+// a node *does* when it has work (scheduling contexts, running message
+// handlers) and what a message means. A delivery is a typed event that
+// carries its destination node and an opaque payload: at arrival the engine
+// does the transport's share (crash-window loss, receive statistics, waking
+// the node) and hands the payload to the runtime, which plugs in as a
+// Runner. Only pumps, timers and host-scheduled events carry callbacks.
 package sim
 
 import (
@@ -36,6 +40,11 @@ type Runner interface {
 	// or a ready context — advancing n.Clock and charging n.Counters.
 	// It returns false if the node has no pending work.
 	RunOne(n *Node) bool
+	// Deliver hands node n the payload of one message that node `from`
+	// sent (SendAt, SendRouted) and that has just arrived. The engine has
+	// already counted it in n.MsgsRecv and wakes n after Deliver returns; a
+	// message arriving while n is crashed is lost before it gets here.
+	Deliver(n *Node, from int, payload any)
 }
 
 // Node is one simulated processor.
@@ -258,23 +267,27 @@ func (e *Engine) EventCount() int64 {
 
 // push inserts one event into the shard's queue.
 func (sh *shard) push(ev event) {
-	if ev.service {
+	if ev.dst == kindService {
 		sh.servicePending++
 	}
 	sh.q.push(ev)
 }
 
-// dispatch runs one event: advances the shard clock, settles timer and
-// service bookkeeping, and invokes the callback with the event's key current
-// (for ordered-log stamping).
+// dispatch runs one event: advances the shard clock and, with the event's
+// key current (for ordered-log stamping), runs its callback, fires its
+// timer, or performs its delivery.
 func (sh *shard) dispatch(ev event) {
-	if ev.service {
-		sh.servicePending--
-	}
 	sh.now = ev.at
 	sh.curAt, sh.curSrc, sh.curSeq = ev.at, ev.src, ev.seq
 	sh.eventCount++
-	if t := ev.timer; t != nil {
+	switch ev.dst {
+	case kindCall:
+		ev.p.(func())()
+	case kindService:
+		sh.servicePending--
+		ev.p.(func())()
+	case kindTimer:
+		t := ev.p.(*Timer)
 		if t.stopped {
 			// A cancelled timer that escaped compaction: its slot pops here,
 			// advancing event time but running nothing.
@@ -282,8 +295,25 @@ func (sh *shard) dispatch(ev event) {
 			return
 		}
 		t.fired = true
+		t.fn()
+	default:
+		sh.arrive(sh.eng.nodes[ev.dst], xmitNode(ev.src), ev.p)
 	}
-	ev.fn()
+}
+
+// arrive performs one physical delivery at node `to`: a message arriving
+// inside the destination's crash window is lost — the node's NIC is down
+// with the rest of it. Otherwise it is counted, handed to the runner, and
+// the node woken to handle it.
+func (sh *shard) arrive(to *Node, from int, payload any) {
+	if to.downUntil > sh.now {
+		sh.crashDrops++
+		return
+	}
+	to.MsgsRecv++
+	e := sh.eng
+	e.runner.Deliver(to, from, payload)
+	e.Wake(to)
 }
 
 // Schedule registers fn to run at virtual time at, in the global context
@@ -292,7 +322,7 @@ func (sh *shard) dispatch(ev event) {
 // the parallel engine the global context must not be touched from inside a
 // window — node-context code schedules through Node.AfterFunc and Wake.
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.pushGlobal(at, fn, false, nil)
+	e.pushGlobal(at, fn, kindCall)
 }
 
 // ScheduleService registers a service event: a periodic tick (migration
@@ -300,10 +330,12 @@ func (e *Engine) Schedule(at Time, fn func()) {
 // its own. PendingWork excludes service events, so services that reschedule
 // only while PendingWork() > 0 cannot sustain each other indefinitely.
 func (e *Engine) ScheduleService(at Time, fn func()) {
-	e.pushGlobal(at, fn, true, nil)
+	e.pushGlobal(at, fn, kindService)
 }
 
-func (e *Engine) pushGlobal(at Time, fn func(), service bool, t *Timer) {
+// pushGlobal queues a call, service or timer event (kind) with payload p in
+// the global context.
+func (e *Engine) pushGlobal(at Time, p any, kind int32) {
 	if e.phase == phaseWindow {
 		panic("sim: global-context schedule from inside a parallel window")
 	}
@@ -311,24 +343,28 @@ func (e *Engine) pushGlobal(at Time, fn func(), service bool, t *Timer) {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", at, e.gsh.now))
 	}
 	e.gseq++
-	e.gsh.push(event{at: at, src: srcGlobal, seq: e.gseq, fn: fn, service: service, timer: t})
+	e.gsh.push(event{at: at, src: srcGlobal, seq: e.gseq, p: p, dst: kind})
 }
 
-// schedule registers fn in node n's context: the event is stamped with n's
-// identity and n's own sequence counter, which both engines advance at the
-// same points of the total order.
-func (n *Node) schedule(at Time, fn func(), service bool, t *Timer) {
+// schedule queues a call, service or timer event (kind) with payload p in
+// node n's context: the event is stamped with n's identity and n's own
+// sequence counter, which both engines advance at the same points of the
+// total order.
+func (n *Node) schedule(at Time, p any, kind int32) {
 	if at < n.Now() {
 		panic(fmt.Sprintf("sim: node %d schedule at %d before now %d", n.ID, at, n.Now()))
 	}
 	n.ctxSeq++
-	n.sh.push(event{at: at, src: int32(n.ID), seq: n.ctxSeq, fn: fn, service: service, timer: t})
+	n.sh.push(event{at: at, src: int32(n.ID), seq: n.ctxSeq, p: p, dst: kind})
 }
 
 // Timer is a cancellable scheduled callback (see AfterFunc). The runtime
-// layer uses timers for retransmissions and delayed acks.
+// layer uses timers for retransmissions and delayed acks. Its event carries
+// the timer itself, so dispatch can skip a stopped one and compaction can
+// find it.
 type Timer struct {
 	sh      *shard
+	fn      func()
 	stopped bool
 	fired   bool
 }
@@ -364,8 +400,8 @@ func (e *Engine) AfterFunc(delay Time, fn func()) *Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	t := &Timer{sh: e.gsh}
-	e.pushGlobal(e.gsh.now+delay, fn, false, t)
+	t := &Timer{sh: e.gsh, fn: fn}
+	e.pushGlobal(e.gsh.now+delay, t, kindTimer)
 	return t
 }
 
@@ -375,8 +411,8 @@ func (n *Node) AfterFunc(delay Time, fn func()) *Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	t := &Timer{sh: n.sh}
-	n.schedule(n.Now()+delay, fn, false, t)
+	t := &Timer{sh: n.sh, fn: fn}
+	n.schedule(n.Now()+delay, t, kindTimer)
 	return t
 }
 
@@ -410,7 +446,7 @@ func (sh *shard) maybeCompact() {
 		return
 	}
 	removed := sh.q.compact(func(ev *event) bool {
-		return ev.timer != nil && ev.timer.stopped
+		return ev.dst == kindTimer && ev.p.(*Timer).stopped
 	})
 	sh.cancelledPending -= removed
 }
@@ -428,7 +464,7 @@ func (e *Engine) Wake(n *Node) {
 	if n.Clock > at {
 		at = n.Clock
 	}
-	n.schedule(at, n.pumpFn, false, nil)
+	n.schedule(at, n.pumpFn, kindCall)
 }
 
 // pump runs exactly one task on n, then reschedules itself while work
@@ -443,7 +479,7 @@ func (e *Engine) pump(n *Node) {
 		// the window edge, but must not count as pending real work (the
 		// window generator would see it and keep opening windows forever).
 		n.pumpPending = true
-		n.schedule(n.stallUntil, n.pumpFn, true, nil)
+		n.schedule(n.stallUntil, n.pumpFn, kindService)
 		return
 	}
 	if n.Clock < now {
@@ -459,26 +495,22 @@ func (e *Engine) pump(n *Node) {
 		if at < now {
 			at = now
 		}
-		n.schedule(at, n.pumpFn, false, nil)
+		n.schedule(at, n.pumpFn, kindCall)
 	}
 }
 
-// Send transports a message from node `from` (at from's current clock) to
-// node `to`, delivering after `latency` virtual time units. The deliver
-// callback runs at arrival time, after which the destination node is woken.
-// Payload words are counted for statistics only; serialization costs are
-// charged by the runtime layer.
-func (e *Engine) Send(from, to *Node, latency Time, words int, deliver func()) {
-	e.sendCommon(from, to, from.Clock, latency, words, false, deliver)
-}
-
-// SendAt is Send with the departure time given explicitly instead of taken
-// from the sender's clock. Timer-driven NIC-level traffic (acks,
-// retransmissions) uses it with the current event time: such frames leave
-// when their timer fires, not serialized behind whatever the node's CPU is
-// executing (its clock may be far ahead of the event driving the timer).
-func (e *Engine) SendAt(from, to *Node, depart, latency Time, words int, deliver func()) {
-	e.sendCommon(from, to, depart, latency, words, false, deliver)
+// SendAt transports a message from node `from` to node `to`, departing at
+// depart and arriving after `latency` virtual time units, where the engine
+// hands payload to the runner's Deliver on `to` (see Runner). The payload is
+// opaque to the engine; the runtime chooses what it carries. Payload words
+// are counted for statistics only; serialization costs are charged by the
+// runtime layer. A node-side send departs at the sender's clock; timer-driven
+// NIC-level traffic (acks, retransmissions) departs at the current event
+// time: such frames leave when their timer fires, not serialized behind
+// whatever the node's CPU is executing (its clock may be far ahead of the
+// event driving the timer).
+func (e *Engine) SendAt(from, to *Node, depart, latency Time, words int, payload any) {
+	e.sendCommon(from, to, depart, latency, words, false, payload)
 }
 
 // SendRouted is SendAt routed through the installed topology hook (see
@@ -486,8 +518,8 @@ func (e *Engine) SendAt(from, to *Node, depart, latency Time, words int, deliver
 // point — in total event order, where shared link-contention state is safe —
 // from the departure time and the flat fallback latency. With no hook
 // installed the flat latency is used as-is.
-func (e *Engine) SendRouted(from, to *Node, depart, flat Time, words int, deliver func()) {
-	e.sendCommon(from, to, depart, flat, words, true, deliver)
+func (e *Engine) SendRouted(from, to *Node, depart, flat Time, words int, payload any) {
+	e.sendCommon(from, to, depart, flat, words, true, payload)
 }
 
 // sendCommon charges sender statistics immediately (they are sender-local)
@@ -496,18 +528,18 @@ func (e *Engine) SendRouted(from, to *Node, depart, flat Time, words int, delive
 // engine, deferred to the barrier under a parallel window. The sender's
 // clock and the event time are captured here, at the send instruction, so
 // deferred processing observes the values the serial engine would have.
-func (e *Engine) sendCommon(from, to *Node, depart, lat Time, words int, routed bool, deliver func()) {
+func (e *Engine) sendCommon(from, to *Node, depart, lat Time, words int, routed bool, payload any) {
 	from.MsgsSent++
 	from.WordsSent += int64(words)
 	if e.phase == phaseWindow {
 		sh := from.sh
 		base, clk := sh.now, from.Clock
 		sh.log = append(sh.log, logEntry{sh.curAt, sh.curSrc, sh.curSeq, func() {
-			e.xmit(from, to, depart, lat, words, routed, base, clk, deliver)
+			e.xmit(from, to, depart, lat, words, routed, base, clk, payload)
 		}})
 		return
 	}
-	e.xmit(from, to, depart, lat, words, routed, e.gsh.now, from.Clock, deliver)
+	e.xmit(from, to, depart, lat, words, routed, e.gsh.now, from.Clock, payload)
 }
 
 // xmit performs the ordered half of one transmission: topology latency,
@@ -515,7 +547,7 @@ func (e *Engine) sendCommon(from, to *Node, depart, lat Time, words int, routed 
 // delivery-event push. base is the event time of the send instruction (the
 // arrival clamp floor); clk is the sender's clock then (the trace timestamp
 // of any injected fault).
-func (e *Engine) xmit(from, to *Node, depart, lat Time, words int, routed bool, base, clk Time, deliver func()) {
+func (e *Engine) xmit(from, to *Node, depart, lat Time, words int, routed bool, base, clk Time, payload any) {
 	if routed && e.netHook != nil {
 		lat = e.netHook(from.ID, to.ID, words, depart, lat)
 	}
@@ -540,34 +572,20 @@ func (e *Engine) xmit(from, to *Node, depart, lat Time, words int, routed bool, 
 		if f.hit(cfg.Dup) {
 			e.observeFault(FaultDup, from, to, words, 0, clk)
 			dup := arrive + f.jitter(cfg.JitterMax+1)
-			e.deliverAt(from, to, dup, arrival(to, deliver))
+			e.deliverAt(from, to, dup, payload)
 		}
 	}
-	e.deliverAt(from, to, arrive, arrival(to, deliver))
+	e.deliverAt(from, to, arrive, payload)
 }
 
-// arrival wraps one physical delivery: a message arriving inside the
-// destination's crash window is lost — the node's NIC is down with the rest
-// of it.
-func arrival(to *Node, deliver func()) func() {
-	return func() {
-		if to.downUntil > to.sh.now {
-			to.sh.crashDrops++
-			return
-		}
-		to.MsgsRecv++
-		deliver()
-		to.eng.Wake(to)
-	}
-}
-
-// deliverAt schedules one physical delivery at node `to`. The event is
-// stamped in the sender's transmission context — srcXmit(from), sequenced by
-// the sender's xmitSeq at processing time — which both engines reach in the
-// same total order, so delivery events sort identically under either.
-func (e *Engine) deliverAt(from, to *Node, arrive Time, fn func()) {
+// deliverAt schedules one physical delivery of payload at node `to`. The
+// event is stamped in the sender's transmission context — srcXmit(from),
+// sequenced by the sender's xmitSeq at processing time — which both engines
+// reach in the same total order, so delivery events sort identically under
+// either.
+func (e *Engine) deliverAt(from, to *Node, arrive Time, payload any) {
 	from.xmitSeq++
-	to.sh.push(event{at: arrive, src: srcXmit(from.ID), seq: from.xmitSeq, fn: fn})
+	to.sh.push(event{at: arrive, src: srcXmit(from.ID), seq: from.xmitSeq, p: payload, dst: int32(to.ID)})
 }
 
 // Run dispatches events until none remain. The runtime layer keeps nodes
@@ -685,14 +703,13 @@ func Charge(n *Node, op instr.Op, cost instr.Instr) {
 	n.Counters.Add(op, cost)
 }
 
-// event is a scheduled callback. The (at, src, seq) triple is the engine's
-// total order: src identifies the scheduling context (srcGlobal the global
-// context, srcXmit(n) deliveries transmitted by node n, [0, N) node n's own
-// events) and seq is that context's own counter — so any two events compare
-// identically whether they were queued by the serial loop or by different
-// shards of the parallel engine. timer is set for AfterFunc events so that
-// cancellation can be observed at dispatch (and dead events identified by
-// compaction) without wrapping fn in a closure per timer.
+// event is one scheduled occurrence: a callback, a timer, or a delivery.
+// The (at, src, seq) triple is the engine's total order: src identifies the
+// scheduling context (srcGlobal the global context, srcXmit(n) deliveries
+// transmitted by node n, [0, N) node n's own events) and seq is that
+// context's own counter — so any two events compare identically whether they
+// were queued by the serial loop or by different shards of the parallel
+// engine.
 //
 // The class ordering (global < transmission < node) is load-bearing for the
 // parallel engine: every same-instant child is scheduled in a context that
@@ -701,14 +718,30 @@ func Charge(n *Node, op instr.Op, cost instr.Instr) {
 // seq), so dispatch order never inverts key order, and the barrier's
 // key-sorted replay of deferred side effects reproduces the serial engine's
 // dispatch order exactly.
+//
+// What happens at dispatch is folded into one payload p and one int32, dst,
+// to keep the event at 40 bytes (TestEventLayout): dst >= 0 makes the event
+// a delivery of payload p to node dst, from the node its src names; a
+// negative dst is a kind, and p a func() (kindCall, kindService) or the
+// *Timer (kindTimer).
 type event struct {
-	at      Time
-	seq     uint64
-	fn      func()
-	src     int32
-	service bool
-	timer   *Timer
+	at  Time
+	seq uint64
+	p   any
+	src int32
+	dst int32
 }
+
+// Non-delivery event kinds, stored in event.dst.
+const (
+	// kindCall runs the func() payload: a host-scheduled callback or a pump.
+	kindCall int32 = -1 - iota
+	// kindService runs the func() payload as a service event, which
+	// PendingWork does not count (see ScheduleService).
+	kindService
+	// kindTimer fires the *Timer payload unless it was stopped.
+	kindTimer
+)
 
 // srcGlobal is the global context's src: the minimum, so at any instant
 // host-scheduled events dispatch before deliveries and node events (the
@@ -720,3 +753,6 @@ const srcGlobal int32 = math.MinInt32
 // context (so a delivery's same-instant children — pump wakes — sort after
 // it) and above srcGlobal.
 func srcXmit(id int) int32 { return int32(-2 - id) }
+
+// xmitNode inverts srcXmit: the sender of a delivery stamped src.
+func xmitNode(src int32) int { return int(-2 - src) }
