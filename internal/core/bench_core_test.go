@@ -42,28 +42,15 @@ func BenchmarkParallelHeapExecution(b *testing.B) {
 	benchRun(b, ParallelOnly(), 1, 16)
 }
 
-// BenchmarkRemoteRoundtrip measures a request/reply message pair through
-// the simulated network and the wrapper path.
+// BenchmarkRemoteRoundtrip measures two request/reply pairs through the
+// simulated network and the wrapper path, on a warm runtime (see
+// warmRemoteSum), so allocs/op counts the message path and not NewRT.
 func BenchmarkRemoteRoundtrip(b *testing.B) {
-	p := NewProgram()
-	sum, _ := buildRemoteSum(p)
-	if err := p.Resolve(Interfaces3); err != nil {
-		b.Fatal(err)
-	}
+	run := warmRemoteSum(b, DefaultHybrid())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(2)
-		rt := NewRT(eng, machine.CM5(), p, DefaultHybrid())
-		driver := rt.Node(0).NewObject(nil)
-		a := rt.Node(0).NewObject(&cellState{1})
-		c := rt.Node(1).NewObject(&cellState{2})
-		var res Result
-		rt.StartOn(0, sum, driver, &res, RefW(a), RefW(c))
-		rt.Run()
-		if !res.Done {
-			b.Fatal("incomplete")
-		}
+		run()
 	}
 }
 

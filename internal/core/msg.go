@@ -131,13 +131,55 @@ func (q *msgQueue) pop() *Msg {
 	return m
 }
 
+// newMsg returns a blank message for a send from n: one that n consumed
+// earlier, keeping its argument capacity, or a fresh one. Like the paper's
+// wrappers, which run a request straight out of its message buffer, a
+// request or reply costs no host allocation once the node's list is warm.
+//
+// A node takes messages off its list only in its own events, and consumed
+// returns them only in the consuming node's events, so under the parallel
+// engine each list stays with one shard and needs no locking.
+func (n *NodeRT) newMsg() *Msg {
+	msg := n.freeMsgs
+	if msg == nil {
+		return &Msg{}
+	}
+	n.freeMsgs = msg.next
+	n.freeLen--
+	*msg = Msg{args: msg.args[:0]}
+	return msg
+}
+
+// maxFreeMsgs bounds a node's free list. Request/reply traffic keeps the
+// lists short, but a node that consumes more than it sends, like a driver
+// gathering every node's reply, would otherwise hold its peak intake for
+// the rest of the run.
+const maxFreeMsgs = 64
+
+// consumed returns a request or reply that node n has finished with to n's
+// free list; nothing may read msg afterwards. A reply is consumed once its
+// value is delivered, a request once its wrapper has run or a heap context
+// has copied its arguments. Parked and forwarded requests are not consumed.
+// Reliable runs never recycle: the sender's relFrame holds the message
+// until it is acked, and a duplicate frame can arrive after the message was
+// consumed.
+func (rt *RT) consumed(n *NodeRT, msg *Msg) {
+	if rt.reliable() || n.freeLen == maxFreeMsgs {
+		return
+	}
+	msg.next = n.freeMsgs
+	n.freeMsgs = msg
+	n.freeLen++
+}
+
 // sendRequest transmits a method invocation toward the target's believed
 // owner (dest). The sender pays injection overhead; the receiver pays
 // handler overhead on arrival (in handleMsg) and re-routes if the object
 // has since migrated.
 func (rt *RT) sendRequest(from *NodeRT, m *Method, target Ref, args []Word, cont Cont, dest int) {
-	msg := &Msg{method: m, target: target, args: append([]Word(nil), args...),
-		cont: cont, from: int32(from.ID)}
+	msg := from.newMsg()
+	msg.method, msg.target, msg.cont, msg.from = m, target, cont, int32(from.ID)
+	msg.args = append(msg.args, args...)
 	w := msg.words()
 	if max := rt.maxMsgWords(); w > max {
 		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, max))
@@ -158,7 +200,8 @@ func (rt *RT) maxMsgWords() int {
 
 // sendReply transmits a value determining a remote continuation.
 func (rt *RT) sendReply(from *NodeRT, cont Cont, val Word) {
-	msg := &Msg{kind: msgReply, cont: cont, val: val, from: int32(from.ID)}
+	msg := from.newMsg()
+	msg.kind, msg.cont, msg.val, msg.from = msgReply, cont, val, int32(from.ID)
 	from.charge(instr.OpMsg, rt.Model.ReplySend)
 	from.Stats.Replies++
 	to := rt.Nodes[cont.Node]
@@ -179,6 +222,7 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	case msgReply:
 		n.charge(instr.OpMsg, mdl.ReplyRecv)
 		rt.deliverLocal(n, msg.cont, msg.val, false)
+		rt.consumed(n, msg)
 		return
 	case msgMigrate:
 		rt.handleMigrate(n, msg)
@@ -222,6 +266,7 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	if !rt.Cfg.Hybrid || !rt.Cfg.Wrappers {
 		// Parallel-only path: allocate and schedule a heap context.
 		rt.schedule(n, rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont))
+		rt.consumed(n, msg)
 		return
 	}
 	if m.Locks {
@@ -229,6 +274,7 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 		if obj.Locked() {
 			// Cannot run from the buffer: park a heap context on the lock.
 			rt.parkOnLock(n, obj, rt.newHeapFrame(n, m, msg.target, msg.args, msg.cont))
+			rt.consumed(n, msg)
 			return
 		}
 	}
@@ -246,6 +292,7 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	rt.traceEvent(n, uint8(trace.KWrapper), m, 0)
 	rt.chargeCall(n, m.Emitted, len(msg.args))
 	rt.runSeq(n, m, obj, msg.target, msg.args, msg.cont, CallerInfo{CtxExists: true, Forwarded: true})
+	rt.consumed(n, msg)
 }
 
 func methodName(m *Method) string {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,5 +197,94 @@ func TestWrapperDisabledUsesHeapPath(t *testing.T) {
 	}
 	if s.HeapInvokes == 0 {
 		t.Fatal("expected the remote request to allocate a heap context")
+	}
+}
+
+// warmRemoteSum builds buildRemoteSum on a two-node runtime, with the driver
+// on node 0 and both cells on node 1, and returns a function that runs one
+// sum (StartOn + Run): two requests from node 0 and two replies back. It
+// runs the sum once before returning, so the frame pool, the message free
+// lists and the event queue are warm.
+func warmRemoteSum(tb testing.TB, cfg Config) func() {
+	tb.Helper()
+	p := NewProgram()
+	sum, _ := buildRemoteSum(p)
+	if err := p.Resolve(cfg.Interfaces); err != nil {
+		tb.Fatal(err)
+	}
+	rt := NewRT(sim.NewEngine(2), machine.CM5(), p, cfg)
+	driver := rt.Node(0).NewObject(nil)
+	a := rt.Node(1).NewObject(&cellState{1})
+	c := rt.Node(1).NewObject(&cellState{2})
+	var res Result
+	run := func() {
+		res = Result{}
+		rt.StartOn(0, sum, driver, &res, RefW(a), RefW(c))
+		rt.Run()
+		if !res.Done || res.Val.Int() != 3 {
+			tb.Fatalf("sum = %d (done %v), want 3", res.Val.Int(), res.Done)
+		}
+	}
+	run()
+	return run
+}
+
+// TestRemoteMessagesAllocateNothing: on a warm runtime a request or reply
+// costs no host allocation, on the wrapper path and on the heap path. The
+// messages come off the nodes' free lists and their deliveries are typed
+// events, not closures.
+func TestRemoteMessagesAllocateNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"hybrid", DefaultHybrid()}, {"parallel-only", ParallelOnly()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := warmRemoteSum(t, tc.cfg)
+			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+				t.Fatalf("a warm remote sum (4 messages) allocates %.0f times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestMessageFreeList pins the free list's contract: a consumed message
+// comes back from newMsg blank but for its argument capacity, a node keeps
+// at most maxFreeMsgs, and a reliable runtime recycles nothing.
+func TestMessageFreeList(t *testing.T) {
+	p := NewProgram()
+	if err := p.Resolve(Interfaces3); err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRT(sim.NewEngine(1), machine.CM5(), p, DefaultHybrid())
+	n := rt.Node(0)
+	for i := 0; i < maxFreeMsgs+10; i++ {
+		rt.consumed(n, &Msg{kind: msgReply, val: 7, from: 3, hops: 2, args: make([]Word, 2, 5)})
+	}
+	if n.freeLen != maxFreeMsgs {
+		t.Fatalf("free list holds %d messages, want the cap %d", n.freeLen, maxFreeMsgs)
+	}
+	for i := 0; i < maxFreeMsgs; i++ {
+		msg := n.newMsg()
+		if cap(msg.args) != 5 {
+			t.Fatalf("reused message %d has args capacity %d, want 5", i, cap(msg.args))
+		}
+		msg.args = nil
+		if !reflect.DeepEqual(*msg, Msg{}) {
+			t.Fatalf("reused message %d is not blank: %+v", i, *msg)
+		}
+	}
+	if n.freeLen != 0 || n.freeMsgs != nil {
+		t.Fatalf("free list holds %d messages after draining", n.freeLen)
+	}
+	if msg := n.newMsg(); msg.args != nil {
+		t.Fatal("an empty free list did not hand out a fresh message")
+	}
+
+	cfg := DefaultHybrid()
+	cfg.Reliable = true
+	rel := NewRT(sim.NewEngine(1), machine.CM5(), p, cfg)
+	rel.consumed(rel.Node(0), &Msg{kind: msgReply})
+	if rel.Node(0).freeLen != 0 {
+		t.Fatal("a reliable runtime recycled a consumed message")
 	}
 }

@@ -19,6 +19,11 @@ type NodeRT struct {
 	inbox   msgQueue
 	runq    frameQueue
 	pool    framePool
+	// freeMsgs lists up to maxFreeMsgs requests and replies this node has
+	// consumed, freeLen of them, for its own next sends to reuse (see newMsg
+	// and consumed in msg.go).
+	freeMsgs *Msg
+	freeLen  int
 
 	// Migration state (all nil/empty unless a migration policy runs).
 	// imports holds objects whose birth node is elsewhere but that now (or
