@@ -89,7 +89,7 @@ func (m *Metrics) walk(node int, t, floor int64) PathReport {
 				s = floor
 			}
 			r.Compute += t - s
-			r.ByMethod[iv.method] += t - s
+			r.ByMethod[iv.name()] += t - s
 			t = s
 			continue
 		}
@@ -108,15 +108,15 @@ func (m *Metrics) walk(node int, t, floor int64) PathReport {
 			} else {
 				r.Idle += wait
 			}
-			if sendAt, ok := m.sends[sendKey(a.from, int32(node), a.seq)]; ok && sendAt < a.at {
+			if a.sent && a.sendAt < a.at {
 				r.Hops++
-				if sendAt < floor {
+				if a.sendAt < floor {
 					// The send predates the window: the flight fills the rest.
 					r.Network += a.at - floor
 					return r
 				}
-				r.Network += a.at - sendAt
-				t = sendAt
+				r.Network += a.at - a.sendAt
+				t = a.sendAt
 				node = int(a.from)
 				continue
 			}

@@ -16,6 +16,14 @@
 // cmd/tables golden test enforces this). The attribution is exact: per
 // node, the observed charges are contiguous and sum to the node's final
 // virtual clock (CheckAttribution verifies both properties).
+//
+// The registry keeps only what something reads. A message's send time waits
+// in an in-flight table until its receive takes it out, so the table holds
+// only messages still on the wire. Once a retention cap truncates the run,
+// the critical path is unavailable, so the logs only the walker reads
+// (arrivals, lock blocks and the in-flight table) are released and no longer
+// recorded. WritePerfetto streams the export instead of building it in
+// memory.
 package obsv
 
 import (
@@ -43,14 +51,16 @@ type Metrics struct {
 	// MaxIntervals / MaxInstants bound the detailed logs (<=0 selects the
 	// defaults). When a cap is hit Truncated() reports true, further
 	// detail is dropped, and the critical path is unavailable — the
-	// aggregate tables remain exact.
+	// aggregate tables remain exact. Truncation also releases the arrivals,
+	// lock blocks and in-flight sends, which only the walker reads, and
+	// stops recording them; retained intervals and instants still export.
 	MaxIntervals int
 	MaxInstants  int
 
 	nodes     []*nodeProfile
 	methods   map[string]*MethodProfile
 	order     []string         // method insertion order (deterministic reports)
-	sends     map[uint64]int64 // (from,to,seq) -> send time
+	inFlight  map[uint64]int64 // (from,to,seq) -> send time, until received
 	instants  []Instant
 	intervals int // retained busy intervals across all nodes
 	truncated bool
@@ -92,25 +102,35 @@ type nodeProfile struct {
 	total      int64 // attributed cycles; equals the final clock
 	end        int64 // end of the last observed charge (contiguity cursor)
 	ops        [instr.NumOps]int64
-	intervals  []interval         // non-idle execution, coalesced, time-ordered
-	arrivals   []arrival          // message deliveries, time-ordered
-	lockBlocks []int64            // KLockBlock times, time-ordered
-	pending    map[string][]int64 // open suspends per method (FIFO)
+	last       *MethodProfile             // the node's last method (see profile)
+	intervals  []interval                 // non-idle execution, coalesced, time-ordered
+	arrivals   []arrival                  // message deliveries, time-ordered
+	lockBlocks []int64                    // KLockBlock times, time-ordered
+	pending    map[*MethodProfile][]int64 // open suspends per method (FIFO)
 }
 
 // interval is a maximal run of contiguous same-method busy charges.
 type interval struct {
 	start, end int64
-	method     string
+	mp         *MethodProfile // nil for the runtime
 }
 
-// arrival is one delivery-side message event.
+// name returns the interval's method name, "" for the runtime.
+func (iv interval) name() string {
+	if iv.mp == nil {
+		return ""
+	}
+	return iv.mp.Name
+}
+
+// arrival is one delivery-side message event, with the send time its
+// receive took out of the in-flight table.
 type arrival struct {
-	at    int64
-	from  int32
-	seq   uint32
-	words int32
-	reply bool
+	at     int64 // effective arrival
+	sendAt int64 // matched send time; meaningful only when sent is set
+	from   int32
+	sent   bool // a recorded send matched this receive
+	reply  bool
 }
 
 // Instant is a point event worth showing on a timeline (drop, retransmit,
@@ -139,9 +159,9 @@ type MethodProfile struct {
 // New creates an empty registry.
 func New() *Metrics {
 	return &Metrics{
-		methods: map[string]*MethodProfile{},
-		sends:   map[uint64]int64{},
-		reqOpen: map[int64]openReq{},
+		methods:  map[string]*MethodProfile{},
+		inFlight: map[uint64]int64{},
+		reqOpen:  map[int64]openReq{},
 	}
 }
 
@@ -154,7 +174,7 @@ func (m *Metrics) Install(cfg *core.Config) {
 
 func (m *Metrics) node(id int) *nodeProfile {
 	for len(m.nodes) <= id {
-		m.nodes = append(m.nodes, &nodeProfile{pending: map[string][]int64{}})
+		m.nodes = append(m.nodes, &nodeProfile{pending: map[*MethodProfile][]int64{}})
 	}
 	return m.nodes[id]
 }
@@ -167,6 +187,29 @@ func (m *Metrics) method(name string) *MethodProfile {
 		m.order = append(m.order, name)
 	}
 	return mp
+}
+
+// profile returns the named method's profile through the node's one-entry
+// cache: a node's consecutive charges and events mostly name one method.
+func (m *Metrics) profile(np *nodeProfile, name string) *MethodProfile {
+	if np.last == nil || np.last.Name != name {
+		np.last = m.method(name)
+	}
+	return np.last
+}
+
+// truncate marks the run truncated and releases the logs that only the
+// critical-path walker reads: walk returns Incomplete on a truncated run
+// before it reads them.
+func (m *Metrics) truncate() {
+	if m.truncated {
+		return
+	}
+	m.truncated = true
+	m.inFlight = nil
+	for _, np := range m.nodes {
+		np.arrivals, np.lockBlocks = nil, nil
+	}
 }
 
 func (m *Metrics) maxIntervals() int {
@@ -198,14 +241,16 @@ func (m *Metrics) ObserveCharge(node int, start instr.Instr, method string, op u
 	}
 	np.end = s + cost
 	np.total += cost
+	var mp *MethodProfile
+	if method != "" {
+		mp = m.profile(np, method)
+		mp.Cycles += cost
+	}
 	if instr.Op(op) < instr.NumOps {
 		np.ops[op] += cost
-		if method != "" {
-			m.method(method).ByOp[op] += cost
+		if mp != nil {
+			mp.ByOp[op] += cost
 		}
-	}
-	if method != "" {
-		m.method(method).Cycles += cost
 	}
 	if instr.Op(op) == instr.OpIdle {
 		return
@@ -215,16 +260,16 @@ func (m *Metrics) ObserveCharge(node int, start instr.Instr, method string, op u
 	// coalescing keeps the log roughly one entry per activation segment).
 	if n := len(np.intervals); n > 0 {
 		last := &np.intervals[n-1]
-		if last.end == s && last.method == method {
+		if last.end == s && last.mp == mp {
 			last.end = s + cost
 			return
 		}
 	}
 	if m.intervals >= m.maxIntervals() {
-		m.truncated = true
+		m.truncate()
 		return
 	}
-	np.intervals = append(np.intervals, interval{start: s, end: s + cost, method: method})
+	np.intervals = append(np.intervals, interval{start: s, end: s + cost, mp: mp})
 	m.intervals++
 }
 
@@ -238,39 +283,53 @@ func (m *Metrics) Record(node int, at instr.Instr, kind uint8, method string, au
 	t := int64(at)
 	switch k {
 	case trace.KInvoke:
-		m.method(method).Invokes++
+		m.profile(np, method).Invokes++
 	case trace.KStackCall:
-		m.method(method).StackCalls++
+		m.profile(np, method).StackCalls++
 	case trace.KFallback:
-		m.method(method).Fallbacks++
+		m.profile(np, method).Fallbacks++
 	case trace.KCtxAlloc:
-		m.method(method).CtxAllocs++
+		m.profile(np, method).CtxAllocs++
 	case trace.KWrapper:
-		m.method(method).Wrappers++
+		m.profile(np, method).Wrappers++
 	case trace.KLockBlock:
-		m.method(method).LockBlocks++
-		np.lockBlocks = append(np.lockBlocks, t)
+		m.profile(np, method).LockBlocks++
+		if !m.truncated {
+			np.lockBlocks = append(np.lockBlocks, t)
+		}
 	case trace.KSuspend:
-		m.method(method).Suspends++
-		np.pending[method] = append(np.pending[method], t)
+		mp := m.profile(np, method)
+		mp.Suspends++
+		np.pending[mp] = append(np.pending[mp], t)
 	case trace.KWake:
-		mp := m.method(method)
+		mp := m.profile(np, method)
 		mp.Wakes++
-		if q := np.pending[method]; len(q) > 0 {
+		if q := np.pending[mp]; len(q) > 0 {
 			d := t - q[0]
-			np.pending[method] = q[1:]
+			np.pending[mp] = q[1:]
 			mp.SuspendSum += d
 			mp.SuspendPairs++
 			m.suspend.add(d)
 		}
 	case trace.KMsgSend:
 		peer, seq, words := trace.UnpackMsg(aux)
-		m.sends[sendKey(int32(node), int32(peer), seq)] = t
 		m.msgWords.add(int64(words))
+		if !m.truncated {
+			m.inFlight[sendKey(int32(node), int32(peer), seq)] = t
+		}
 	case trace.KMsgRecv:
-		peer, seq, words := trace.UnpackMsg(aux)
+		if m.truncated {
+			return
+		}
+		// Match the receive to its send now and forget the send: each
+		// transmission is received at most once (the reliable layer
+		// suppresses duplicates before delivery).
+		peer, seq, _ := trace.UnpackMsg(aux)
+		key := sendKey(int32(peer), int32(node), seq)
+		sendAt, sent := m.inFlight[key]
+		delete(m.inFlight, key)
 		np.arrivals = append(np.arrivals, arrival{
-			at: t, from: int32(peer), seq: seq, words: int32(words), reply: method == ""})
+			at: t, sendAt: sendAt, from: int32(peer), sent: sent, reply: method == ""})
 	case trace.KReqArrive:
 		m.reqOpen[aux] = openReq{node: int32(node), at: t}
 	case trace.KReqDone:
@@ -289,7 +348,7 @@ func (m *Metrics) Record(node int, at instr.Instr, kind uint8, method string, au
 		trace.KStall, trace.KMigrateStart, trace.KMigrateArrive, trace.KForwardHop,
 		trace.KHopLimit:
 		if len(m.instants) >= m.maxInstants() {
-			m.truncated = true
+			m.truncate()
 			return
 		}
 		m.instants = append(m.instants, Instant{At: t, Node: int32(node), Kind: k, Method: method, Aux: aux})
