@@ -91,10 +91,13 @@ crash-recovery:
 
 # Observability smoke: a profiled kernel run with cycle attribution, the
 # critical path, and a Perfetto trace_event export (validated by the binary
-# itself: the JSON is parsed back before the run reports success).
+# itself: the JSON is parsed back before the run reports success), then a
+# profiled serving run whose export carries migration and forward-hop
+# instants.
 profile:
 	$(GO) run ./cmd/concert -app sor -nodes 16 -size 48 -iters 3 -profile -trace-out /tmp/concert_sor_trace.json
 	$(GO) run ./cmd/tables -table 4 -scale small -profile
+	$(GO) run ./cmd/concert -app serve -nodes 8 -size 1024 -policy threshold -profile -trace-out /tmp/concert_serve_trace.json
 
 # Headline scale run: a million-object SOR (1024x1024 grid, one object per
 # cell) on a 4096-node machine, routed through the fat-tree interconnect

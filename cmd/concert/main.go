@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -314,20 +315,74 @@ func finishObservability(m *obsv.Metrics, mdl *machine.Model, title string, prof
 	if err := f.Close(); err != nil {
 		fatalf("trace-out: %v", err)
 	}
-	data, err := os.ReadFile(traceOut)
+	f, err = os.Open(traceOut)
 	if err != nil {
 		fatalf("trace-out: %v", err)
 	}
-	var probe struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	events, err := countTraceEvents(f)
+	f.Close()
+	if err != nil {
 		fatalf("trace-out: wrote invalid JSON: %v", err)
 	}
-	if len(probe.TraceEvents) == 0 {
+	if events == 0 {
 		fatalf("trace-out: export contains no events")
 	}
-	fmt.Printf("trace: %d events -> %s (open in ui.perfetto.dev)\n", len(probe.TraceEvents), traceOut)
+	fmt.Printf("trace: %d events -> %s (open in ui.perfetto.dev)\n", events, traceOut)
+}
+
+// countTraceEvents reads a trace_event document back in one streaming pass
+// and returns how many entries its traceEvents array holds. Only one entry
+// is held in memory at a time. Anything but a single valid JSON object whose
+// traceEvents, if present, is an array, is an error.
+func countTraceEvents(r io.Reader) (int, error) {
+	dec := json.NewDecoder(r)
+	if err := expectDelim(dec, '{'); err != nil {
+		return 0, err
+	}
+	events := 0
+	var v json.RawMessage // reused: Decode overwrites it in place
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return 0, err
+		}
+		if key != "traceEvents" {
+			if err := dec.Decode(&v); err != nil {
+				return 0, err
+			}
+			continue
+		}
+		if err := expectDelim(dec, '['); err != nil {
+			return 0, err
+		}
+		for ; dec.More(); events++ {
+			if err := dec.Decode(&v); err != nil {
+				return 0, err
+			}
+		}
+		if err := expectDelim(dec, ']'); err != nil {
+			return 0, err
+		}
+	}
+	if err := expectDelim(dec, '}'); err != nil {
+		return 0, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return 0, fmt.Errorf("data after the top-level object")
+	}
+	return events, nil
+}
+
+// expectDelim reads the next token and requires it to be want.
+func expectDelim(dec *json.Decoder, want json.Delim) error {
+	tok, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if tok != want {
+		return fmt.Errorf("found %v where %v was expected", tok, want)
+	}
+	return nil
 }
 
 func report(mdl *machine.Model, seconds, localFrac float64, msgs int64, st core.NodeStats, c instr.Counters) {
