@@ -93,11 +93,16 @@ crash-recovery:
 # critical path, and a Perfetto trace_event export (validated by the binary
 # itself: the JSON is parsed back before the run reports success), then a
 # profiled serving run whose export carries migration and forward-hop
-# instants.
+# instants. Each report is diffed against its pinned capture, as `make
+# tables` does; a change that moves the text on purpose regenerates the pin
+# and the diff is the review record.
 profile:
-	$(GO) run ./cmd/concert -app sor -nodes 16 -size 48 -iters 3 -profile -trace-out /tmp/concert_sor_trace.json
-	$(GO) run ./cmd/tables -table 4 -scale small -profile
-	$(GO) run ./cmd/concert -app serve -nodes 8 -size 1024 -policy threshold -profile -trace-out /tmp/concert_serve_trace.json
+	$(GO) run ./cmd/concert -app sor -nodes 16 -size 48 -iters 3 -profile -trace-out /tmp/concert_sor_trace.json > /tmp/concert_profile_sor.out
+	diff -u cmd/concert/testdata/profile_sor.txt /tmp/concert_profile_sor.out
+	$(GO) run ./cmd/tables -table 4 -scale small -profile > /tmp/concert_profile_tables.out
+	diff -u cmd/tables/testdata/profile_small.txt /tmp/concert_profile_tables.out
+	$(GO) run ./cmd/concert -app serve -nodes 8 -size 1024 -policy threshold -profile -trace-out /tmp/concert_serve_trace.json > /tmp/concert_profile_serve.out
+	diff -u cmd/concert/testdata/profile_serve.txt /tmp/concert_profile_serve.out
 
 # Headline scale run: a million-object SOR (1024x1024 grid, one object per
 # cell) on a 4096-node machine, routed through the fat-tree interconnect
