@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"repro/apps/mdforce"
-	migapp "repro/apps/migrate"
 	"repro/apps/sor"
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -95,7 +94,7 @@ func Kernels(mdl *machine.Model, p Params) []Kernel {
 	sorNative := sor.Native(p.Sor.G, p.Sor.Iters)
 	inst := mdforce.Generate(p.MD)
 	mdNative := mdforce.Native(inst, p.MDIters)
-	randAssign := migapp.CellAssignment(inst, false)
+	randAssign := mdforce.CellAssignment(inst, false)
 
 	adorn := func(cfg core.Config) core.Config {
 		if p.Adorn != nil {
@@ -126,7 +125,7 @@ func Kernels(mdl *machine.Model, p Params) []Kernel {
 				cfg.Migration = pol()
 			}
 			cfg = adorn(cfg)
-			r := migapp.Run(mdl, cfg, inst, p.MDIters, randAssign)
+			r := mdforce.RunCells(mdl, cfg, inst, p.MDIters, randAssign)
 			res := RunResult{Seconds: r.Seconds, Messages: r.Messages, Stats: r.Stats}
 			if err := mdforce.MaxRelError(r.Forces, mdNative); err > 1e-9 {
 				res.Err = fmt.Errorf("%s: force error %g exceeds 1e-9", name, err)

@@ -17,9 +17,15 @@
 //     forwarded chain (owner tail-forwards to a cache-fill on the
 //     requester, whose ack determines the original continuation).
 //
-// Table 7's migration extension (apps/migrate) runs this same kernel with a
-// different Plan: one chunk per spatial cluster instead of one per node,
-// several iterations, and a migration policy free to move chunks mid-run.
+// Table 7's migration extension (RunCells) runs this same kernel with a
+// different Plan: one chunk per spatial cluster (a cell) instead of one per
+// node, several iterations, and a migration policy free to move chunks
+// mid-run. Positions never change, so every iteration repeats the same
+// communication graph: the steady-state traffic an adaptive policy can
+// learn from. Cross-chunk pairs always take the fetch/cache/pending-increment
+// path, even when both chunks share a node, so any placement and any
+// migration history yields the same forces up to message-arrival summation
+// order.
 //
 // The paper used a 10503-atom protein input from CEDAR; we substitute a
 // synthetic clustered 3-D atom distribution with the same atom count (the
@@ -56,7 +62,7 @@ type Pair struct {
 
 // Chunk is the kernel's object: a group of atoms, their pair list, the
 // remote coordinate cache, and the combined pending force increments.
-// Table 5 puts one chunk on each node; Table 7 (apps/migrate) makes each
+// Table 5 puts one chunk on each node; Table 7 (RunCells) makes each
 // spatial cluster a chunk, which a migration policy may move mid-run.
 type Chunk struct {
 	Self    core.Ref
@@ -572,8 +578,7 @@ func RunWithAssign(mdl *machine.Model, cfg core.Config, inst *Instance, assign [
 	for n := range home {
 		home[n] = n
 	}
-	r, _ := RunPlan(mdl, cfg, inst, Plan{Owner: assign, Home: home, Iters: 1})
-	return r
+	return RunPlan(mdl, cfg, inst, Plan{Owner: assign, Home: home, Iters: 1})
 }
 
 // Plan lays a run out: Owner maps each atom to the chunk holding it, Home
@@ -587,9 +592,8 @@ type Plan struct {
 
 // RunPlan executes the kernel laid out by pl under cfg (whose Migration
 // field may move chunks mid-run). It returns the measurements, with forces
-// read back from wherever each chunk ended up, and the node each chunk
-// ended the run on.
-func RunPlan(mdl *machine.Model, cfg core.Config, inst *Instance, pl Plan) (Result, []int) {
+// read back from wherever each chunk ended up.
+func RunPlan(mdl *machine.Model, cfg core.Config, inst *Instance, pl Plan) Result {
 	m := Build()
 	if err := m.Prog.Resolve(cfg.Interfaces); err != nil {
 		panic(err)
@@ -637,12 +641,10 @@ func RunPlan(mdl *machine.Model, cfg core.Config, inst *Instance, pl Plan) (Resu
 	}
 
 	forces := make([][3]float64, len(inst.Pos))
-	final := make([]int, len(chunks))
-	for ci, c := range chunks {
+	for _, c := range chunks {
 		for li, gid := range c.Global {
 			forces[gid] = c.Force[li]
 		}
-		final[ci] = rt.Locate(chunkRefs[ci])
 	}
 	st := rt.TotalStats()
 	return Result{
@@ -653,7 +655,38 @@ func RunPlan(mdl *machine.Model, cfg core.Config, inst *Instance, pl Plan) (Resu
 		Messages:      eng.TotalMessages(),
 		Forces:        forces,
 		PairCount:     len(inst.Pairs),
-	}, final
+	}
+}
+
+// DefaultCellParams is Table 7's instance. It packs the clusters tightly
+// (lattice spacing comparable to the cluster diameter) so cluster
+// peripheries interact across the cutoff: the communication graph has
+// strong spatial affinity for ORB — and for an adaptive policy — to
+// exploit, while random placement makes most cross-cell traffic remote.
+func DefaultCellParams() Params {
+	return Params{Atoms: 4000, Clusters: 64, Box: 24, Cutoff: 2.4, Nodes: 16, Scatter: 0.05, Seed: 1995}
+}
+
+// CellAssignment places cells (clusters) on nodes: ORB over the cluster
+// centers (the informed static layout) or uniformly at random (the
+// uninformed one an adaptive policy must repair).
+func CellAssignment(inst *Instance, spatial bool) []int {
+	if spatial {
+		return layout.ORB(inst.Centers, inst.Params.Nodes)
+	}
+	return layout.Random(len(inst.Centers), inst.Params.Nodes, inst.Params.Seed+13)
+}
+
+// RunCells executes iters iterations of the kernel over inst, one chunk per
+// cell starting on cellAssign's node, under cfg (whose Migration field
+// selects the policy, nil for static).
+func RunCells(mdl *machine.Model, cfg core.Config, inst *Instance, iters int, cellAssign []int) Result {
+	if cfg.MaxMsgWords == 0 {
+		// Cells are far larger than request messages; size the limit to the
+		// biggest possible migration payload.
+		cfg.MaxMsgWords = 1 << 20
+	}
+	return RunPlan(mdl, cfg, inst, Plan{Owner: inst.Cluster, Home: cellAssign, Iters: iters})
 }
 
 // Native computes the same forces in plain Go (pair order = instance

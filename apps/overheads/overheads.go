@@ -59,7 +59,6 @@ type recorder struct {
 	over      [numScenarios]instr.Instr
 	remoteObj core.Ref // a cell on another node
 	lockObj   core.Ref // the object the lock-holder occupies
-	holderGo  bool     // set when the lock holder may finish
 }
 
 type cell struct{ v int64 }

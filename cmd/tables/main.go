@@ -42,7 +42,6 @@ import (
 	"repro/apps/chaos"
 	"repro/apps/em3d"
 	"repro/apps/mdforce"
-	migapp "repro/apps/migrate"
 	"repro/apps/overheads"
 	"repro/apps/seqbench"
 	"repro/apps/serve"
@@ -372,20 +371,23 @@ func table5(scale string, seed int64) {
 // the random placement. Every run's forces are verified against the native
 // reference before its row is printed.
 func table7(scale string, seed int64) {
-	base := migapp.DefaultParams()
-	base.MD.Seed = seed
+	base := mdforce.DefaultCellParams()
+	base.Seed = seed
+	// Migration pays off only when post-move iterations amortize the move
+	// cost.
+	iters := 10
 	switch scale {
 	case "small":
-		base.MD.Atoms, base.MD.Clusters, base.MD.Box, base.MD.Nodes = 1200, 27, 18, 8
-		base.Iters = 3
+		base.Atoms, base.Clusters, base.Box, base.Nodes = 1200, 27, 18, 8
+		iters = 3
 	case "full":
-		base.MD.Atoms, base.MD.Clusters, base.MD.Box, base.MD.Nodes = 10503, 125, 30, 32
-		base.Iters = 6
+		base.Atoms, base.Clusters, base.Box, base.Nodes = 10503, 125, 30, 32
+		iters = 6
 	}
-	inst := mdforce.Generate(base.MD)
-	native := mdforce.Native(inst, base.Iters)
-	randAssign := migapp.CellAssignment(inst, false)
-	orbAssign := migapp.CellAssignment(inst, true)
+	inst := mdforce.Generate(base)
+	native := mdforce.Native(inst, iters)
+	randAssign := mdforce.CellAssignment(inst, false)
+	orbAssign := mdforce.CellAssignment(inst, true)
 
 	type variant struct {
 		name   string
@@ -404,19 +406,19 @@ func table7(scale string, seed int64) {
 	models := []*machine.Model{machine.CM5(), machine.T3D()}
 	// One cell per (machine, variant); the shared instance, reference forces
 	// and assignments are read-only.
-	cells := exp.Map(workers, len(models)*len(variants), func(i int) migapp.Result {
+	cells := exp.Map(workers, len(models)*len(variants), func(i int) mdforce.Result {
 		v := variants[i%len(variants)]
 		cfg := core.DefaultHybrid()
 		if v.policy != nil {
 			cfg.Migration = v.policy()
 		}
 		cfg.MigrationPeriod = v.period
-		return migapp.Run(models[i/len(variants)], adorned(cfg), inst, base.Iters, v.assign)
+		return mdforce.RunCells(models[i/len(variants)], adorned(cfg), inst, iters, v.assign)
 	})
 	for mi, mdl := range models {
 		t := stats.Table{
 			Title: fmt.Sprintf("Table 7 — MD-Force with dynamic migration: %d atoms / %d cells, %d iterations, %d-node %s",
-				base.MD.Atoms, base.MD.Clusters, base.Iters, base.MD.Nodes, mdl.Name),
+				base.Atoms, base.Clusters, iters, base.Nodes, mdl.Name),
 			Headers: []string{"placement", "local frac", "msgs", "moves", "fwd hops", "time (s)", "vs random"},
 		}
 		var randSec float64
@@ -794,16 +796,15 @@ func profileSection(scale string, seed int64, traceOut string) {
 	profiled(fmt.Sprintf("MD-Force %d atoms spatial hybrid, %d-node %s", mp.Atoms, mp.Nodes, mdl.Name),
 		func(cfg core.Config) { mdforce.Run(mdl, cfg, mdInst) })
 
-	gp := migapp.DefaultParams()
-	gp.MD.Seed = seed
-	gp.MD.Atoms, gp.MD.Clusters, gp.MD.Box, gp.MD.Nodes = 1200, 27, 18, 8
-	gp.Iters = 3
-	migInst := mdforce.Generate(gp.MD)
-	assign := migapp.CellAssignment(migInst, false)
-	profiled(fmt.Sprintf("MD-migrate adaptive %d atoms, %d-node %s", gp.MD.Atoms, gp.MD.Nodes, mdl.Name),
+	gp := mdforce.DefaultCellParams()
+	gp.Seed = seed
+	gp.Atoms, gp.Clusters, gp.Box, gp.Nodes = 1200, 27, 18, 8
+	migInst := mdforce.Generate(gp)
+	assign := mdforce.CellAssignment(migInst, false)
+	profiled(fmt.Sprintf("MD-migrate adaptive %d atoms, %d-node %s", gp.Atoms, gp.Nodes, mdl.Name),
 		func(cfg core.Config) {
 			cfg.Migration = policy.DefaultThreshold()
-			migapp.Run(mdl, cfg, migInst, gp.Iters, assign)
+			mdforce.RunCells(mdl, cfg, migInst, 3, assign)
 		})
 
 	if traceOut != "" {

@@ -41,7 +41,6 @@ package concert
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/core"
 	"repro/internal/instr"
@@ -157,29 +156,6 @@ func FatTreeNetwork(model *Model, radix int) func(nodes int) machine.Network {
 	return func(nodes int) machine.Network { return machine.NewFatTree(nodes, radix, model) }
 }
 
-// SetEngine selects the engine-wide execution engine by name: "serial" (the
-// one-queue oracle) or "parallel"/"pdes" (conservative window-synchronized
-// shards across goroutines; see internal/sim/parallel.go). Both dispatch the
-// identical deterministic total event order, so simulated results are
-// byte-identical; the choice is purely a host-side performance matter.
-// Configurations the parallel engine cannot shard soundly (a Migration
-// policy, or the reliable layer over a contended topology) silently fall
-// back to serial dispatch — Engine.Workers() reports what actually ran. It
-// returns false (changing nothing) for an unknown name. Affects engines
-// created after the call.
-func SetEngine(name string) bool {
-	k, ok := sim.EngineByName(name)
-	if !ok {
-		return false
-	}
-	sim.SetDefaultEngine(k)
-	return true
-}
-
-// SetEngineShards sets the shard (worker) count used by subsequently created
-// parallel engines; 0 restores the default of one per available CPU.
-func SetEngineShards(n int) { sim.SetDefaultShards(n) }
-
 // System is one simulated machine running one program under one
 // execution-model configuration.
 type System struct {
@@ -293,22 +269,6 @@ type Trace = trace.Buffer
 // NewTrace creates a trace buffer retaining up to capacity events
 // (capacity <= 0 selects a default).
 func NewTrace(capacity int) *Trace { return trace.NewBuffer(capacity) }
-
-// NewTraceFor creates a trace buffer sized for a machine of nodes
-// processors: roughly 1k retained events per node, clamped so retention
-// stays bounded (1M ring slots) however large the machine. For unbounded
-// runs on big machines prefer NewTraceStream, which retains nothing.
-func NewTraceFor(nodes int) *Trace { return trace.NewBuffer(trace.DefaultCapacityFor(nodes)) }
-
-// TraceStream is the O(1)-memory alternative to Trace: events are written to
-// a sink as they happen instead of being retained, so tracing a large
-// machine costs a bounded buffer regardless of run length. Install via
-// Config.Tracer.
-type TraceStream = trace.Stream
-
-// NewTraceStream creates a streaming tracer writing Timeline-format lines
-// to w. Call Flush when the run ends.
-func NewTraceStream(w io.Writer) *TraceStream { return trace.NewStream(w) }
 
 // Metrics is the observability layer over a run: per-method cycle
 // attribution that sums exactly to the node clocks, a critical-path

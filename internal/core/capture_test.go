@@ -182,9 +182,6 @@ func TestAccessors(t *testing.T) {
 	if err := p.Resolve(Interfaces3); err != nil {
 		t.Fatal(err)
 	}
-	if p.Lookup("fib") != fib || p.Lookup("nosuch") != nil {
-		t.Fatal("Lookup broken")
-	}
 	if len(p.Methods()) != 1 {
 		t.Fatal("Methods broken")
 	}

@@ -85,16 +85,6 @@ func (p *Program) Add(m *Method) *Method {
 // Methods returns the registered methods.
 func (p *Program) Methods() []*Method { return p.methods }
 
-// Lookup returns the method with the given name, or nil.
-func (p *Program) Lookup(name string) *Method {
-	for _, m := range p.methods {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // Resolve runs the interprocedural schema analysis (internal/analysis) and
 // fixes each method's Required and Emitted schema under the given interface
 // set. It must be called once, before execution.

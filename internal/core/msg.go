@@ -295,13 +295,6 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	rt.consumed(n, msg)
 }
 
-func methodName(m *Method) string {
-	if m == nil {
-		return "<nil>"
-	}
-	return m.Name
-}
-
 // DefaultMaxMsgWords bounds a single active message's modeled payload; a
 // real runtime would fragment beyond this, which the model does not —
 // exceeding it is a programming error.

@@ -151,9 +151,6 @@ func (o *Object) ForEachRemoteSource(fn func(node, count int32)) {
 // Moves returns how many times this object has migrated.
 func (o *Object) Moves() int { return int(o.moves) }
 
-// Active returns the number of live activations targeting the object.
-func (o *Object) Active() int { return int(o.active) }
-
 // note records one invocation reaching the object on its owner,
 // maintaining the Misra-Gries sketch for remote sources.
 func (o *Object) note(remote bool, from int32) {

@@ -90,6 +90,3 @@ func (c *Counters) AddAll(other *Counters) {
 		c[i] += other[i]
 	}
 }
-
-// Reset zeroes every category.
-func (c *Counters) Reset() { *c = Counters{} }

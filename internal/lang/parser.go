@@ -6,8 +6,7 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[p.pos+1] }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) take() token {
 	t := p.toks[p.pos]

@@ -35,8 +35,7 @@ func sumValues(m map[string]int) int {
 	return total
 }
 
-// localSortHelper launders through a same-package sort helper, the pattern
-// apps/mdforce and apps/migrate use.
+// localSortHelper launders through a same-package sort helper.
 func localSortHelper(m map[int]bool) []int {
 	var ids []int
 	for id := range m {

@@ -151,10 +151,6 @@ func (g *Gen) Next() (Req, bool) {
 	return rq, true
 }
 
-// Center returns the current skew center in key units (after any flips the
-// generated stream has reached).
-func (g *Gen) Center() int { return g.center }
-
 // zipf samples ranks from a bounded Zipfian distribution with exponent
 // theta over [0, n), using the Gray et al. closed-form approximation (the
 // YCSB generator): an O(n) zeta precomputation, then O(1) per sample.

@@ -47,9 +47,7 @@ type Network interface {
 // latency while a full-height route at 4096 nodes costs more — locality in
 // placement now shows up in transport time, not only in message counts.
 type FatTree struct {
-	nodes   int
 	radix   int
-	levels  int // switch levels; lca levels range 1..levels
 	hopLat  instr.Instr
 	perWord instr.Instr
 	// up[l][g] / down[l][g]: busy-until horizon of the up-link out of (and
@@ -86,9 +84,7 @@ func NewFatTree(nodes, radix int, m *Model) *FatTree {
 		hop = 1
 	}
 	ft := &FatTree{
-		nodes:   nodes,
 		radix:   radix,
-		levels:  levels,
 		hopLat:  hop,
 		perWord: m.NetPerWord,
 		up:      make([][]instr.Instr, levels),

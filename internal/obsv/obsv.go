@@ -48,14 +48,14 @@ const (
 // core.MetricsSink (cycle attribution, busy intervals). Not safe for
 // concurrent use: give every run its own instance.
 type Metrics struct {
-	// MaxIntervals / MaxInstants bound the detailed logs (<=0 selects the
+	// maxIntervals / maxInstants bound the detailed logs (New sets the
 	// defaults). When a cap is hit Truncated() reports true, further
 	// detail is dropped, and the critical path is unavailable — the
 	// aggregate tables remain exact. Truncation also releases the arrivals,
 	// lock blocks and in-flight sends, which only the walker reads, and
 	// stops recording them; retained intervals and instants still export.
-	MaxIntervals int
-	MaxInstants  int
+	maxIntervals int
+	maxInstants  int
 
 	nodes     []*nodeProfile
 	methods   map[string]*MethodProfile
@@ -71,7 +71,7 @@ type Metrics struct {
 
 	// Serving-request tracking (KReqArrive/KReqDone pairs). The latency
 	// histogram is always exact; only the per-request records that feed the
-	// tail-partition walker are bounded (by MaxInstants), with overflow
+	// tail-partition walker are bounded (by maxInstants), with overflow
 	// counted in reqDropped rather than flagged as truncation — aggregate
 	// tables and the whole-run critical path stay available.
 	reqOpen    map[int64]openReq
@@ -159,9 +159,11 @@ type MethodProfile struct {
 // New creates an empty registry.
 func New() *Metrics {
 	return &Metrics{
-		methods:  map[string]*MethodProfile{},
-		inFlight: map[uint64]int64{},
-		reqOpen:  map[int64]openReq{},
+		maxIntervals: defaultMaxIntervals,
+		maxInstants:  defaultMaxInstants,
+		methods:      map[string]*MethodProfile{},
+		inFlight:     map[uint64]int64{},
+		reqOpen:      map[int64]openReq{},
 	}
 }
 
@@ -212,20 +214,6 @@ func (m *Metrics) truncate() {
 	}
 }
 
-func (m *Metrics) maxIntervals() int {
-	if m.MaxIntervals > 0 {
-		return m.MaxIntervals
-	}
-	return defaultMaxIntervals
-}
-
-func (m *Metrics) maxInstants() int {
-	if m.MaxInstants > 0 {
-		return m.MaxInstants
-	}
-	return defaultMaxInstants
-}
-
 // sendKey packs a directed link and sequence number.
 func sendKey(from, to int32, seq uint32) uint64 {
 	return uint64(uint16(from))<<40 | uint64(uint16(to))<<24 | uint64(seq&0xFFFFFF)
@@ -265,7 +253,7 @@ func (m *Metrics) ObserveCharge(node int, start instr.Instr, method string, op u
 			return
 		}
 	}
-	if m.intervals >= m.maxIntervals() {
+	if m.intervals >= m.maxIntervals {
 		m.truncate()
 		return
 	}
@@ -339,7 +327,7 @@ func (m *Metrics) Record(node int, at instr.Instr, kind uint8, method string, au
 		}
 		delete(m.reqOpen, aux)
 		m.reqLat.Add(t - o.at)
-		if len(m.reqs) >= m.maxInstants() {
+		if len(m.reqs) >= m.maxInstants {
 			m.reqDropped++
 			return
 		}
@@ -347,7 +335,7 @@ func (m *Metrics) Record(node int, at instr.Instr, kind uint8, method string, au
 	case trace.KDrop, trace.KDupWire, trace.KDupSuppressed, trace.KRetransmit,
 		trace.KStall, trace.KMigrateStart, trace.KMigrateArrive, trace.KForwardHop,
 		trace.KHopLimit:
-		if len(m.instants) >= m.maxInstants() {
+		if len(m.instants) >= m.maxInstants {
 			m.truncate()
 			return
 		}
@@ -399,12 +387,11 @@ func (m *Metrics) Methods() []*MethodProfile {
 }
 
 // RequestLatencies returns the log-bucketed histogram over every completed
-// serving request's latency. The histogram is exact (never truncated) and
-// mergeable across runs or nodes.
+// serving request's latency. The histogram is exact (never truncated).
 func (m *Metrics) RequestLatencies() *stats.LatencyHist { return &m.reqLat }
 
 // Requests returns the retained per-request records in completion order.
-// When more requests completed than MaxInstants, the excess beyond the cap
+// When more requests completed than the record cap, the excess beyond it
 // is absent here (see RequestsDropped) but still counted in the histogram.
 func (m *Metrics) Requests() []ReqRecord { return m.reqs }
 

@@ -245,14 +245,6 @@ func (e *Engine) SetFaultObserver(obs FaultObserver) {
 	}
 }
 
-// Faults returns the installed fault configuration (nil when fault-free).
-func (e *Engine) Faults() *Faults {
-	if e.faults == nil {
-		return nil
-	}
-	return e.faults.cfg
-}
-
 // FaultStats returns the engine-wide injected-fault counts. CrashDrops are
 // counted by the shard that owns the crashed destination (delivery events
 // run inside parallel windows) and summed here.

@@ -35,7 +35,6 @@
 package sim
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -99,9 +98,6 @@ func EngineByName(name string) (EngineKind, bool) {
 	return EngineSerial, false
 }
 
-// Kind returns the engine kind this engine was constructed with.
-func (e *Engine) Kind() EngineKind { return e.kind }
-
 // ParallelActive reports whether parallel dispatch is actually enabled —
 // the engine is parallel-kind and the runtime supplied a usable lookahead.
 func (e *Engine) ParallelActive() bool { return e.par }
@@ -115,9 +111,6 @@ func (e *Engine) Workers() int {
 	}
 	return 1
 }
-
-// Lookahead returns the conservative window bound (0 when serial).
-func (e *Engine) Lookahead() Time { return e.lookahead }
 
 // EnableParallel switches a parallel-kind engine into sharded execution.
 // lookahead must be a lower bound on the latency of every transmission the
@@ -304,15 +297,4 @@ func (e *Engine) runParallel(limit Time) bool {
 // stepParallel runs one synchronization round on the calling goroutine.
 func (e *Engine) stepParallel() bool {
 	return e.round(maxTime, true)
-}
-
-// shardOf returns the index of the shard owning node id (tests use it to
-// construct cross-shard traffic deliberately).
-func (e *Engine) shardOf(id int) int {
-	for i, sh := range e.shards {
-		if e.nodes[id].sh == sh {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("sim: node %d has no shard", id))
 }

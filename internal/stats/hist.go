@@ -2,22 +2,18 @@ package stats
 
 import "math/bits"
 
-// LatencyHist is a mergeable log-linear histogram for non-negative latency
-// samples (virtual instructions), built for tail quantiles: p50/p99/p999
-// with a bounded relative error, O(1) inserts, and element-wise merge so
-// per-node (or per-run) histograms combine exactly.
+// LatencyHist is a log-linear histogram for non-negative latency samples
+// (virtual instructions), built for tail quantiles: p50/p99/p999 with a
+// bounded relative error and O(1) inserts.
 //
 // Geometry: values below 64 are recorded exactly (one bucket per value);
 // larger values fall into their octave [2^(k-1), 2^k), which is split into
 // 32 equal-width subbuckets. A bucket's reported value is its midpoint, so
 // the relative error of any reported value — and therefore of any quantile —
-// is at most RelErr. All histograms share this fixed geometry, which is what
-// makes Merge an element-wise count addition (and hence associative and
-// commutative: merge order cannot change any quantile).
+// is at most RelErr.
 type LatencyHist struct {
 	counts [histBuckets]int64
 	count  int64
-	sum    int64
 	min    int64 // valid only when count > 0
 	max    int64
 }
@@ -72,34 +68,10 @@ func (h *LatencyHist) Add(v int64) {
 		h.max = v
 	}
 	h.count++
-	h.sum += v
-}
-
-// Merge adds o's samples into h. Identical fixed geometry makes this an
-// element-wise count addition: associative, commutative, and lossless with
-// respect to every quantile either side could report.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	if o.count == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
 }
 
 // Count returns the number of recorded samples.
 func (h *LatencyHist) Count() int64 { return h.count }
-
-// Sum returns the exact sum of recorded samples.
-func (h *LatencyHist) Sum() int64 { return h.sum }
 
 // Min returns the exact minimum sample (0 when empty).
 func (h *LatencyHist) Min() int64 {
@@ -111,14 +83,6 @@ func (h *LatencyHist) Min() int64 {
 
 // Max returns the exact maximum sample (0 when empty).
 func (h *LatencyHist) Max() int64 { return h.max }
-
-// Mean returns the exact mean (0 when empty).
-func (h *LatencyHist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
 
 // Quantile returns the value at quantile q in [0, 1]: the representative
 // value of the bucket holding the ceil(q*Count)-th smallest sample, clamped

@@ -114,50 +114,3 @@ func TestNegativeClampsToZero(t *testing.T) {
 			h.Count(), h.Min(), h.Max())
 	}
 }
-
-// TestMergeAssociative: merging per-node histograms must be associative and
-// order-independent — (a+b)+c, a+(b+c) and c+(a+b) agree bucket for bucket,
-// and agree with a histogram fed every sample directly.
-func TestMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	parts := make([]*LatencyHist, 3)
-	var direct LatencyHist
-	for i := range parts {
-		parts[i] = &LatencyHist{}
-		for k := 0; k < 5000; k++ {
-			var v int64
-			switch i {
-			case 0:
-				v = rng.Int63n(1000) // one fast node
-			case 1:
-				v = 50_000 + rng.Int63n(1000) // one slow node
-			default:
-				v = int64(10 / math.Pow(rng.Float64()+1e-12, 1.5)) // heavy tail
-			}
-			parts[i].Add(v)
-			direct.Add(v)
-		}
-	}
-	merge := func(hs ...*LatencyHist) *LatencyHist {
-		out := &LatencyHist{}
-		for _, h := range hs {
-			out.Merge(h)
-		}
-		return out
-	}
-	ab := merge(parts[0], parts[1])
-	bc := merge(parts[1], parts[2])
-	left := merge(ab, parts[2])
-	right := merge(parts[0], bc)
-	rot := merge(parts[2], parts[0], parts[1])
-	for _, m := range []*LatencyHist{left, right, rot} {
-		if *m != direct {
-			t.Fatal("merged histogram differs from directly-fed histogram")
-		}
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if left.Quantile(q) != right.Quantile(q) || left.Quantile(q) != direct.Quantile(q) {
-			t.Fatalf("q=%g: quantiles differ across merge orders", q)
-		}
-	}
-}

@@ -7,7 +7,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -195,22 +194,6 @@ func NewBuffer(capacity int) *Buffer {
 	return &Buffer{events: make([]Event, capacity)}
 }
 
-// DefaultCapacityFor returns a trace-buffer capacity for a machine of the
-// given node count: 1k retained events per node, clamped to [64k, 1M].
-// Per-node sizing keeps small machines' windows roomy; the clamp bounds a
-// 4096-node run at 1M ring slots (~56MB) instead of letting trace retention
-// scale without limit alongside the machine.
-func DefaultCapacityFor(nodes int) int {
-	c := nodes << 10
-	if c < 1<<16 {
-		return 1 << 16
-	}
-	if c > 1<<20 {
-		return 1 << 20
-	}
-	return c
-}
-
 // Record implements the runtime's tracer hook.
 func (b *Buffer) Record(node int, at instr.Instr, kind uint8, method string, aux int64) {
 	k := Kind(kind)
@@ -288,65 +271,7 @@ func (b *Buffer) Timeline(w io.Writer, from, to instr.Instr) {
 	})
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
 	for _, e := range evs {
-		writeEventLine(w, e)
-	}
-}
-
-func writeEventLine(w io.Writer, e Event) {
-	fmt.Fprintf(w, "%10d n%-3d %-10s %-20s %d\n", e.At, e.Node, e.Kind, e.Method, e.Aux)
-}
-
-// Stream is a tracer that writes each event to an io.Writer at record time,
-// in the Timeline line format, retaining nothing: memory stays O(1) however
-// long the run, which is what a million-object scale run needs — a
-// retaining Buffer sized for its full event stream would dwarf the machine
-// state itself. Per-kind counts are still aggregated exactly. Lines come
-// out in record order (per-node clock order, not global time order); sort
-// downstream if a merged timeline is needed.
-type Stream struct {
-	w       *bufio.Writer
-	n       int64
-	counts  [NumKinds]int64
-	lastErr error
-}
-
-// NewStream creates a streaming tracer over w. Call Flush when the run
-// completes; writes are buffered.
-func NewStream(w io.Writer) *Stream {
-	return &Stream{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-// Record implements the runtime's tracer hook.
-func (s *Stream) Record(node int, at instr.Instr, kind uint8, method string, aux int64) {
-	k := Kind(kind)
-	if k < NumKinds {
-		s.counts[k]++
-	}
-	s.n++
-	writeEventLine(s.w, Event{At: at, Node: int32(node), Kind: k, Method: method, Aux: aux})
-}
-
-// Len returns the number of events recorded.
-func (s *Stream) Len() int64 { return s.n }
-
-// Count returns the total occurrences of kind k.
-func (s *Stream) Count(k Kind) int64 { return s.counts[k] }
-
-// Flush drains the write buffer, returning the first write error.
-func (s *Stream) Flush() error {
-	if err := s.w.Flush(); err != nil && s.lastErr == nil {
-		s.lastErr = err
-	}
-	return s.lastErr
-}
-
-// Summary writes per-kind totals, mirroring Buffer.Summary.
-func (s *Stream) Summary(w io.Writer) {
-	fmt.Fprintf(w, "trace: %d events streamed\n", s.n)
-	for k := Kind(0); k < NumKinds; k++ {
-		if s.counts[k] > 0 {
-			fmt.Fprintf(w, "  %-10s %d\n", k, s.counts[k])
-		}
+		fmt.Fprintf(w, "%10d n%-3d %-10s %-20s %d\n", e.At, e.Node, e.Kind, e.Method, e.Aux)
 	}
 }
 
