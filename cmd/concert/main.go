@@ -251,7 +251,7 @@ func main() {
 				fmt.Sprintf("%d of %d RMWs applied exactly once", r.Applied, r.RMWs))
 		}
 		if metrics != nil && *profile {
-			tailPartition(metrics, mdl)
+			tailPartition(os.Stdout, metrics, mdl)
 		}
 	default:
 		fatalf("unknown app %q", *app)
@@ -263,9 +263,9 @@ func main() {
 }
 
 // tailPartition aggregates the critical-path partitions of every p99-tail
-// request and prints the combined split: how much of the stragglers' time
-// was compute, network flight, or waiting.
-func tailPartition(m *obsv.Metrics, mdl *machine.Model) {
+// request and writes the combined split to w: how much of the stragglers'
+// time was compute, network flight, or waiting.
+func tailPartition(w io.Writer, m *obsv.Metrics, mdl *machine.Model) {
 	tail := m.TailRequests(0.99)
 	if len(tail) == 0 {
 		return
@@ -283,8 +283,14 @@ func tailPartition(m *obsv.Metrics, mdl *machine.Model) {
 		sum.Steps += pr.Steps
 		sum.Incomplete = sum.Incomplete || pr.Incomplete
 	}
-	fmt.Printf("\ntail requests (p99 and above, %d of them) — aggregated partition:\n", len(tail))
-	sum.WritePath(os.Stdout, func(v int64) float64 { return mdl.Seconds(instr.Instr(v)) })
+	// Requests that completed past the record cap have no window to
+	// partition; say how many the tail may be missing.
+	left := ""
+	if n := m.RequestsDropped(); n > 0 {
+		left = fmt.Sprintf("; %d requests past the record cap left out", n)
+	}
+	fmt.Fprintf(w, "\ntail requests (p99 and above, %d of them%s) — aggregated partition:\n", len(tail), left)
+	sum.WritePath(w, func(v int64) float64 { return mdl.Seconds(instr.Instr(v)) })
 }
 
 // finishObservability renders the post-run observability outputs: the

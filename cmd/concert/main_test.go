@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/instr"
+	"repro/internal/machine"
+	"repro/internal/obsv"
+	"repro/internal/trace"
 )
 
 // TestCountTraceEvents: the -trace-out check counts the traceEvents entries
@@ -27,6 +34,32 @@ func TestCountTraceEvents(t *testing.T) {
 		got, err := countTraceEvents(strings.NewReader(c.doc))
 		if (err == nil) != c.ok || got != c.want {
 			t.Errorf("countTraceEvents(%q) = %d, %v; want %d, ok %v", c.doc, got, err, c.want, c.ok)
+		}
+	}
+}
+
+// TestTailPartitionReportsDropped: requests that completed past the
+// registry's record cap cannot be partitioned, so the tail header says how
+// many were left out, and says nothing when every request was kept.
+func TestTailPartitionReportsDropped(t *testing.T) {
+	for _, c := range []struct {
+		dropped int64
+		left    string
+	}{
+		{0, ""},
+		{3, "; 3 requests past the record cap left out"},
+	} {
+		m := obsv.New()
+		for id := int64(0); id < 1000 || m.RequestsDropped() < c.dropped; id++ {
+			m.Record(0, instr.Instr(id*10), uint8(trace.KReqArrive), "serve.request", id)
+			m.Record(0, instr.Instr(id*10+5+id%7), uint8(trace.KReqDone), "serve.request", id)
+		}
+		var out bytes.Buffer
+		tailPartition(&out, m, machine.CM5())
+		want := fmt.Sprintf("\ntail requests (p99 and above, %d of them%s) — aggregated partition:\n",
+			len(m.TailRequests(0.99)), c.left)
+		if !strings.HasPrefix(out.String(), want) {
+			t.Fatalf("dropped %d: output %q does not start with %q", c.dropped, out.String(), want)
 		}
 	}
 }
