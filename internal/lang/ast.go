@@ -11,14 +11,7 @@ type methodDecl struct {
 	locked    bool
 	line      int
 	col       int
-}
-
-// classDecl groups fields and methods; flattened into qualified
-// methodDecls by the parser.
-type classDecl struct {
-	name    string
-	fields  []string
-	methods []*methodDecl
+	index     int // position in the program, set by Compile
 }
 
 // stmt is a statement node.
@@ -35,13 +28,18 @@ type assignStmt struct {
 	rhs  expr
 }
 
-// spawnStmt: name = spawn callee(args) on target;
-type spawnStmt struct {
-	pos
-	name   string
+// call is the part spawn and forward share: callee(args) on target.
+type call struct {
 	callee string
 	args   []expr
 	target expr
+}
+
+// spawnStmt: name = spawn callee(args) on target;
+type spawnStmt struct {
+	pos
+	name string
+	call
 }
 
 // touchStmt: touch a, b, ...;
@@ -59,9 +57,7 @@ type returnStmt struct {
 // forwardStmt: forward callee(args) on target;
 type forwardStmt struct {
 	pos
-	callee string
-	args   []expr
-	target expr
+	call
 }
 
 // workStmt: work expr;

@@ -1,5 +1,7 @@
 package lang
 
+import "slices"
+
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
 	toks []token
@@ -16,535 +18,236 @@ func (p *parser) take() token {
 	return t
 }
 
-func (p *parser) expect(k tokKind) (token, *Error) {
+// accept takes the current token if it is of kind k.
+func (p *parser) accept(k tokKind) bool {
+	if p.cur().kind != k {
+		return false
+	}
+	p.take()
+	return true
+}
+
+func (p *parser) expect(k tokKind) token {
 	t := p.cur()
 	if t.kind != k {
-		return t, errf(t.line, t.col, "expected %v, found %v", k, t.kind)
+		fail(t.line, t.col, "expected %v, found %v", k, t.kind)
 	}
-	return p.take(), nil
+	return p.take()
 }
 
 // parseProgram parses a whole source file.
-func parseProgram(src string) ([]*methodDecl, *Error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+func parseProgram(src string) []*methodDecl {
+	p := &parser{toks: lexAll(src)}
 	var methods []*methodDecl
 	for p.cur().kind != tokEOF {
 		if p.cur().kind == tokClass {
-			c, err := p.parseClass()
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range c.methods {
-				m.className = c.name
-				m.name = c.name + "." + m.name
-				m.fields = c.fields
-				methods = append(methods, m)
-			}
-			continue
+			methods = append(methods, p.parseClass()...)
+		} else {
+			methods = append(methods, p.parseMethod())
 		}
-		m, err := p.parseMethod()
-		if err != nil {
-			return nil, err
-		}
-		methods = append(methods, m)
 	}
 	if len(methods) == 0 {
-		return nil, errf(1, 1, "empty program: no methods")
+		fail(1, 1, "empty program: no methods")
 	}
-	return methods, nil
+	return methods
 }
 
-// parseClass parses: class Name { field a; ... method m() {...} ... }
-func (p *parser) parseClass() (*classDecl, *Error) {
-	if _, err := p.expect(tokClass); err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
-	c := &classDecl{name: name.text}
-	for p.cur().kind != tokRBrace {
-		switch p.cur().kind {
+// parseClass parses class Name { field a; ... method m() {...} ... } and
+// returns its methods, named Name.m and sharing the class's fields.
+func (p *parser) parseClass() []*methodDecl {
+	p.expect(tokClass)
+	name := p.expect(tokIdent).text
+	p.expect(tokLBrace)
+	var fields []string
+	var methods []*methodDecl
+	for !p.accept(tokRBrace) {
+		switch t := p.cur(); t.kind {
 		case tokField:
 			p.take()
-			fn, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSemi); err != nil {
-				return nil, err
-			}
-			c.fields = append(c.fields, fn.text)
+			fields = append(fields, p.expect(tokIdent).text)
+			p.expect(tokSemi)
 		case tokMethod, tokLocked:
-			m, err := p.parseMethod()
-			if err != nil {
-				return nil, err
-			}
-			c.methods = append(c.methods, m)
+			methods = append(methods, p.parseMethod())
 		default:
-			t := p.cur()
-			return nil, errf(t.line, t.col, "expected 'field' or 'method' in class body, found %v", t.kind)
+			fail(t.line, t.col, "expected 'field' or 'method' in class body, found %v", t.kind)
 		}
 	}
-	p.take() // }
-	return c, nil
+	for _, m := range methods {
+		m.className, m.name, m.fields = name, name+"."+m.name, fields
+	}
+	return methods
 }
 
-func (p *parser) parseMethod() (*methodDecl, *Error) {
-	locked := false
-	if p.cur().kind == tokLocked {
-		p.take()
-		locked = true
-	}
-	kw, err := p.expect(tokMethod)
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.expect(tokIdent)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
-	}
-	m := &methodDecl{name: name.text, locked: locked, line: kw.line, col: kw.col}
+func (p *parser) parseMethod() *methodDecl {
+	locked := p.accept(tokLocked)
+	kw := p.expect(tokMethod)
+	m := &methodDecl{name: p.expect(tokIdent).text, locked: locked, line: kw.line, col: kw.col}
+	p.expect(tokLParen)
 	if p.cur().kind != tokRParen {
 		for {
-			pn, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			m.params = append(m.params, pn.text)
-			if p.cur().kind != tokComma {
+			m.params = append(m.params, p.expect(tokIdent).text)
+			if !p.accept(tokComma) {
 				break
 			}
-			p.take()
 		}
 	}
-	if _, err := p.expect(tokRParen); err != nil {
-		return nil, err
-	}
-	body, perr := p.parseBlock()
-	if perr != nil {
-		return nil, perr
-	}
-	m.body = body
-	return m, nil
+	p.expect(tokRParen)
+	m.body = p.parseBlock()
+	return m
 }
 
-func (p *parser) parseBlock() ([]stmt, *Error) {
-	if _, err := p.expect(tokLBrace); err != nil {
-		return nil, err
-	}
+func (p *parser) parseBlock() []stmt {
+	p.expect(tokLBrace)
 	var out []stmt
-	for p.cur().kind != tokRBrace {
-		if p.cur().kind == tokEOF {
-			t := p.cur()
-			return nil, errf(t.line, t.col, "unterminated block")
+	for !p.accept(tokRBrace) {
+		if t := p.cur(); t.kind == tokEOF {
+			fail(t.line, t.col, "unterminated block")
 		}
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
+		out = append(out, p.parseStmt())
 	}
-	p.take() // }
-	return out, nil
+	return out
 }
 
-func (p *parser) parseStmt() (stmt, *Error) {
-	t := p.cur()
+func (p *parser) parseStmt() stmt {
+	t := p.take()
+	at := pos{t.line, t.col}
+	var s stmt
 	switch t.kind {
-	case tokReturn:
-		p.take()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return nil, err
-		}
-		return &returnStmt{pos: pos{t.line, t.col}, value: e}, nil
-
-	case tokForward:
-		p.take()
-		calleeName, err := p.parseCalleeName()
-		if err != nil {
-			return nil, err
-		}
-		args, perr := p.parseArgs()
-		if perr != nil {
-			return nil, perr
-		}
-		if _, err := p.expect(tokOn); err != nil {
-			return nil, err
-		}
-		target, perr := p.parseExpr()
-		if perr != nil {
-			return nil, perr
-		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return nil, err
-		}
-		return &forwardStmt{pos: pos{t.line, t.col}, callee: calleeName, args: args, target: target}, nil
-
-	case tokTouch:
-		p.take()
-		var names []string
-		for {
-			n, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
+	case tokIf:
+		st := &ifStmt{pos: at, cond: p.parseExpr(), then: p.parseBlock()}
+		if p.accept(tokElse) {
+			if p.cur().kind == tokIf {
+				st.els = []stmt{p.parseStmt()} // else if
+			} else {
+				st.els = p.parseBlock()
 			}
-			names = append(names, n.text)
-			if p.cur().kind != tokComma {
+		}
+		return st
+	case tokWhile:
+		return &whileStmt{pos: at, cond: p.parseExpr(), body: p.parseBlock()}
+	case tokReturn:
+		s = &returnStmt{pos: at, value: p.parseExpr()}
+	case tokForward:
+		s = &forwardStmt{pos: at, call: p.parseCall()}
+	case tokTouch:
+		st := &touchStmt{pos: at}
+		for {
+			st.names = append(st.names, p.expect(tokIdent).text)
+			if !p.accept(tokComma) {
 				break
 			}
-			p.take()
 		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return nil, err
-		}
-		return &touchStmt{pos: pos{t.line, t.col}, names: names}, nil
-
+		s = st
 	case tokWork:
-		p.take()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return nil, err
-		}
-		return &workStmt{pos: pos{t.line, t.col}, amount: e}, nil
-
-	case tokIf:
-		p.take()
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		then, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		var els []stmt
-		if p.cur().kind == tokElse {
-			p.take()
-			if p.cur().kind == tokIf {
-				s, err := p.parseStmt() // else if
-				if err != nil {
-					return nil, err
-				}
-				els = []stmt{s}
-			} else {
-				els, err = p.parseBlock()
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-		return &ifStmt{pos: pos{t.line, t.col}, cond: cond, then: then, els: els}, nil
-
-	case tokWhile:
-		p.take()
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		body, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		return &whileStmt{pos: pos{t.line, t.col}, cond: cond, body: body}, nil
-
+		s = &workStmt{pos: at, amount: p.parseExpr()}
 	case tokState:
 		// state[idx] = expr;
-		p.take()
-		if _, err := p.expect(tokLBracket); err != nil {
-			return nil, err
-		}
-		idx, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRBracket); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokAssign); err != nil {
-			return nil, err
-		}
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return nil, err
-		}
-		return &stateAssign{pos: pos{t.line, t.col}, idx: idx, rhs: rhs}, nil
-
+		p.expect(tokLBracket)
+		idx := p.parseExpr()
+		p.expect(tokRBracket)
+		p.expect(tokAssign)
+		s = &stateAssign{pos: at, idx: idx, rhs: p.parseExpr()}
 	case tokIdent:
-		// assignment, spawn or newobj
-		name := p.take()
-		if _, err := p.expect(tokAssign); err != nil {
-			return nil, err
+		// assignment, spawn, new or newobj
+		p.expect(tokAssign)
+		switch {
+		case p.accept(tokNew):
+			s = &newClassStmt{pos: at, name: t.text, class: p.expect(tokIdent).text}
+			p.expect(tokLParen)
+			p.expect(tokRParen)
+		case p.accept(tokNewObj):
+			p.expect(tokLParen)
+			s = &newObjStmt{pos: at, name: t.text, size: p.parseExpr()}
+			p.expect(tokRParen)
+		case p.accept(tokSpawn):
+			s = &spawnStmt{pos: at, name: t.text, call: p.parseCall()}
+		default:
+			s = &assignStmt{pos: at, name: t.text, rhs: p.parseExpr()}
 		}
-		if p.cur().kind == tokNew {
-			p.take()
-			cls, err := p.expect(tokIdent)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokLParen); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokRParen); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSemi); err != nil {
-				return nil, err
-			}
-			return &newClassStmt{pos: pos{name.line, name.col}, name: name.text, class: cls.text}, nil
-		}
-		if p.cur().kind == tokNewObj {
-			p.take()
-			if _, err := p.expect(tokLParen); err != nil {
-				return nil, err
-			}
-			size, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokRParen); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(tokSemi); err != nil {
-				return nil, err
-			}
-			return &newObjStmt{pos: pos{name.line, name.col}, name: name.text, size: size}, nil
-		}
-		if p.cur().kind == tokSpawn {
-			p.take()
-			calleeName, err := p.parseCalleeName()
-			if err != nil {
-				return nil, err
-			}
-			args, perr := p.parseArgs()
-			if perr != nil {
-				return nil, perr
-			}
-			if _, err := p.expect(tokOn); err != nil {
-				return nil, err
-			}
-			target, perr := p.parseExpr()
-			if perr != nil {
-				return nil, perr
-			}
-			if _, err := p.expect(tokSemi); err != nil {
-				return nil, err
-			}
-			return &spawnStmt{pos: pos{name.line, name.col}, name: name.text,
-				callee: calleeName, args: args, target: target}, nil
-		}
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokSemi); err != nil {
-			return nil, err
-		}
-		return &assignStmt{pos: pos{name.line, name.col}, name: name.text, rhs: rhs}, nil
+	default:
+		fail(t.line, t.col, "unexpected %v at start of statement", t.kind)
 	}
-	return nil, errf(t.line, t.col, "unexpected %v at start of statement", t.kind)
+	p.expect(tokSemi)
+	return s
 }
 
-// parseCalleeName parses IDENT or Class '.' method.
-func (p *parser) parseCalleeName() (string, *Error) {
-	id, err := p.expect(tokIdent)
-	if err != nil {
-		return "", err
+// parseCall parses the tail that spawn and forward share,
+// callee(args) on target, where callee is a method or Class.method.
+func (p *parser) parseCall() call {
+	c := call{callee: p.expect(tokIdent).text}
+	if p.accept(tokDot) {
+		c.callee += "." + p.expect(tokIdent).text
 	}
-	if p.cur().kind == tokDot {
-		p.take()
-		m, err := p.expect(tokIdent)
-		if err != nil {
-			return "", err
-		}
-		return id.text + "." + m.text, nil
-	}
-	return id.text, nil
-}
-
-func (p *parser) parseArgs() ([]expr, *Error) {
-	if _, err := p.expect(tokLParen); err != nil {
-		return nil, err
-	}
-	var args []expr
+	p.expect(tokLParen)
 	if p.cur().kind != tokRParen {
 		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, e)
-			if p.cur().kind != tokComma {
+			c.args = append(c.args, p.parseExpr())
+			if !p.accept(tokComma) {
 				break
 			}
-			p.take()
 		}
 	}
-	if _, err := p.expect(tokRParen); err != nil {
-		return nil, err
-	}
-	return args, nil
+	p.expect(tokRParen)
+	p.expect(tokOn)
+	c.target = p.parseExpr()
+	return c
 }
 
-// Expression parsing: precedence climbing.
-// || < && < comparisons < additive < multiplicative < unary < primary.
+// binaryLevels lists the binary operators from the loosest-binding level
+// to the tightest; every level associates to the left.
+var binaryLevels = [][]tokKind{
+	{tokOrOr},
+	{tokAndAnd},
+	{tokLT, tokLE, tokGT, tokGE, tokEQ, tokNE},
+	{tokPlus, tokMinus, tokPipe, tokCaret},
+	{tokStar, tokSlash, tokPercent, tokAmp, tokShl, tokShr},
+}
 
-func (p *parser) parseExpr() (expr, *Error) { return p.parseOr() }
+func (p *parser) parseExpr() expr { return p.parseBinary(0) }
 
-func (p *parser) parseOr() (expr, *Error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+// parseBinary parses operands joined by the operators of binaryLevels[level],
+// each operand an expression of the tighter levels.
+func (p *parser) parseBinary(level int) expr {
+	if level == len(binaryLevels) {
+		return p.parseUnary()
 	}
-	for p.cur().kind == tokOrOr {
+	x := p.parseBinary(level + 1)
+	for slices.Contains(binaryLevels[level], p.cur().kind) {
 		op := p.take()
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{pos: pos{op.line, op.col}, op: tokOrOr, x: x, y: y}
+		x = &binExpr{pos: pos{op.line, op.col}, op: op.kind, x: x, y: p.parseBinary(level + 1)}
 	}
-	return x, nil
+	return x
 }
 
-func (p *parser) parseAnd() (expr, *Error) {
-	x, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokAndAnd {
-		op := p.take()
-		y, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{pos: pos{op.line, op.col}, op: tokAndAnd, x: x, y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseCmp() (expr, *Error) {
-	x, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		k := p.cur().kind
-		if k != tokLT && k != tokLE && k != tokGT && k != tokGE && k != tokEQ && k != tokNE {
-			return x, nil
-		}
-		op := p.take()
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{pos: pos{op.line, op.col}, op: k, x: x, y: y}
-	}
-}
-
-func (p *parser) parseAdd() (expr, *Error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokPlus || p.cur().kind == tokMinus ||
-		p.cur().kind == tokPipe || p.cur().kind == tokCaret {
-		op := p.take()
-		y, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{pos: pos{op.line, op.col}, op: op.kind, x: x, y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseMul() (expr, *Error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == tokStar || p.cur().kind == tokSlash || p.cur().kind == tokPercent ||
-		p.cur().kind == tokAmp || p.cur().kind == tokShl || p.cur().kind == tokShr {
-		op := p.take()
-		y, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		x = &binExpr{pos: pos{op.line, op.col}, op: op.kind, x: x, y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseUnary() (expr, *Error) {
+func (p *parser) parseUnary() expr {
 	t := p.cur()
 	if t.kind == tokMinus || t.kind == tokBang {
 		p.take()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{pos: pos{t.line, t.col}, op: t.kind, x: x}, nil
+		return &unaryExpr{pos: pos{t.line, t.col}, op: t.kind, x: p.parseUnary()}
 	}
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (expr, *Error) {
-	t := p.cur()
+func (p *parser) parsePrimary() expr {
+	t := p.take()
+	at := pos{t.line, t.col}
 	switch t.kind {
 	case tokInt:
-		p.take()
-		return &intLit{pos: pos{t.line, t.col}, v: t.val}, nil
+		return &intLit{pos: at, v: t.val}
 	case tokIdent:
-		p.take()
-		return &varRef{pos: pos{t.line, t.col}, name: t.text}, nil
+		return &varRef{pos: at, name: t.text}
 	case tokSelf:
-		p.take()
-		return &selfRef{pos: pos{t.line, t.col}}, nil
+		return &selfRef{pos: at}
 	case tokState:
-		p.take()
-		if _, err := p.expect(tokLBracket); err != nil {
-			return nil, err
-		}
-		idx, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRBracket); err != nil {
-			return nil, err
-		}
-		return &stateRef{pos: pos{t.line, t.col}, idx: idx}, nil
+		p.expect(tokLBracket)
+		e := &stateRef{pos: at, idx: p.parseExpr()}
+		p.expect(tokRBracket)
+		return e
 	case tokLParen:
-		p.take()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(tokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
+		e := p.parseExpr()
+		p.expect(tokRParen)
+		return e
 	}
-	return nil, errf(t.line, t.col, "unexpected %v in expression", t.kind)
+	fail(t.line, t.col, "unexpected %v in expression", t.kind)
+	return nil
 }

@@ -155,6 +155,10 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("lang: %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-func errf(line, col int, format string, args ...any) *Error {
-	return &Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
+// fail reports a compile error at line:col by panicking with its *Error.
+// The lexer, the parser and the lowering all report errors this way, and
+// Compile is the only function that recovers one, so the first error found
+// is the one returned. Any other panic is a bug and keeps unwinding.
+func fail(line, col int, format string, args ...any) {
+	panic(&Error{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)})
 }
