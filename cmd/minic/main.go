@@ -9,7 +9,8 @@
 //	      [-nodes N] [-entry main] [-stats] file.cal arg...
 //
 // The entry method runs on node 0 with the integer arguments; its result
-// and the simulated execution time are printed.
+// and the simulated execution time are printed. A run that does not
+// complete, or completes without quiescing, exits with status 1.
 package main
 
 import (
@@ -96,8 +97,14 @@ func main() {
 	var res core.Result
 	rt.StartOn(0, m, self, &res, args...)
 	rt.Run()
+	// A run fails unless it quiesces, even when the entry method replied:
+	// frames left live or messages left queued mean work was lost.
+	qerr := rt.CheckQuiescence()
 	if !res.Done {
-		fatal(fmt.Errorf("%s did not complete (deadlock?): %v", *entry, rt.CheckQuiescence()))
+		fatal(fmt.Errorf("%s did not complete (deadlock?): %v", *entry, qerr))
+	}
+	if qerr != nil {
+		fatal(fmt.Errorf("%s replied %d, but the run did not quiesce: %v", *entry, res.Val.Int(), qerr))
 	}
 	fmt.Printf("%s = %d\n", *entry, res.Val.Int())
 	fmt.Printf("simulated time on %s: %.6f s (%d instructions)\n",
