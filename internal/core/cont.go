@@ -28,12 +28,11 @@ func (c Cont) IsNil() bool { return c.Fr == nil && c.Root == nil }
 
 // CallerInfo mirrors the caller_info word of the continuation-passing
 // schema (Section 3.2.3): it tells a CP callee how to materialize the
-// continuation lazily, distinguishing the three fallback cases — the
-// continuation was forwarded (context and continuation both exist), the
-// context exists but not the continuation, or neither exists yet.
+// continuation lazily. Of the three fallback cases it marks the first: the
+// continuation was forwarded, so context and continuation both exist.
+// Whether the context holding the future exists (the second case) or not
+// yet (the third), materializeCont reads from that frame's promoted flag.
 type CallerInfo struct {
-	// CtxExists: the context holding the future already exists.
-	CtxExists bool
 	// Forwarded: the continuation itself was already created and forwarded
 	// (e.g. the invocation arrived in a message); it can simply be
 	// extracted (the proxy-context case of Section 3.3).

@@ -96,7 +96,7 @@ func (rt *RT) invoke(fr *Frame, m *Method, target Ref, slot int, args []Word, fw
 	default:
 		// A local forward passes return_val_ptr and caller_info along on
 		// the stack; the chain's root finds the result in return_val.
-		sch, ci := m.Emitted, CallerInfo{CtxExists: fr.promoted}
+		sch, ci := m.Emitted, CallerInfo{}
 		if fwd {
 			sch, ci = SchemaCP, fr.CInfo
 		}
@@ -218,7 +218,6 @@ func (rt *RT) newHeapFrame(n *NodeRT, m *Method, target Ref, args []Word, cont C
 	cf.Mode = HeapMode
 	cf.promoted = true
 	cf.RetCont = cont
-	cf.CInfo = CallerInfo{CtxExists: true}
 	n.Stats.HeapInvokes++
 	rt.traceEvent(n, uint8(trace.KCtxAlloc), m, 0)
 	return cf

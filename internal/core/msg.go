@@ -291,7 +291,7 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	n.Stats.WrapperRuns++
 	rt.traceEvent(n, uint8(trace.KWrapper), m, 0)
 	rt.chargeCall(n, m.Emitted, len(msg.args))
-	rt.runSeq(n, m, obj, msg.target, msg.args, msg.cont, CallerInfo{CtxExists: true, Forwarded: true})
+	rt.runSeq(n, m, obj, msg.target, msg.args, msg.cont, CallerInfo{Forwarded: true})
 	rt.consumed(n, msg)
 }
 
