@@ -8,9 +8,10 @@ package sim
 // shard-independent: the serial loop and the parallel engine's shards
 // insert the same events in different interleavings, but compare them
 // identically. queue_test.go keeps a container/heap binary heap as the
-// reference oracle: TestCalendarMatchesHeapOracle asserts the two agree
-// under random insert/cancel workloads, and TestQueueTieBreakTwoProducers
-// pins the same-instant cross-producer order.
+// reference oracle: TestCalendarMatchesHeapOracle and
+// TestCalendarOracleShapeShifts assert the two agree under random and
+// shape-changing workloads, and TestQueueTieBreakTwoProducers pins the
+// same-instant cross-producer order.
 
 // less is the total event order: time, then scheduling context (the global
 // context's srcGlobal, the minimum, ahead of transmission contexts ahead of
@@ -41,69 +42,118 @@ func less(a, b *event) bool {
 // event at one instant) degrade to a single bucket heap, i.e. a plain binary
 // heap's O(log n), never worse.
 //
-// The queue resizes (doubling/halving nb, re-deriving width from the
-// observed event-time span) to hold mean occupancy at O(1), giving O(1)
-// amortized push and pop: the property the engine needs to dispatch
-// hundreds of millions of events at 4096-node scale, where the global
-// heap's log n cache-missing comparisons per operation dominate runtime.
-// The far-future tail (retransmit deadlines, fault windows) shares buckets
-// with near events via the year wrap and is skipped in O(1) by the
-// in-window test.
+// The bucket count follows the population (doubling above 2 events per
+// bucket, halving below 1/2), and the width follows the front: as in
+// Brown's paper it is sized from the spacing of the events being dequeued,
+// calWidthMul times the mean time between pops since the last rebuild, so a
+// popped bucket holds about that many events. Sizing it from the span of
+// everything queued instead lets a far tail of timers and deadlines stretch
+// the buckets until the whole front shares one. Every pop counts its work —
+// the events in the popped bucket plus the buckets walked to find it — and
+// when that work exceeds calMaxWork per pop within a window of nb pops, the
+// queue rebuilds at the same bucket count with a re-derived width. A rebuild
+// costs O(events + buckets) and is paid for by the work that triggered it
+// (or by the Θ(nb) pushes or pops behind a resize), so push and pop stay
+// O(1) amortized: the property the engine needs to dispatch hundreds of
+// millions of events at 4096-node scale, where a global heap's log n
+// cache-missing comparisons per operation dominated runtime. The
+// far-future tail shares buckets with near events via the year wrap and is
+// skipped in O(1) by the in-window test.
 //
 // The dequeue cursor is derived entirely from lastAt, the time of the most
 // recently popped event. The engine guarantees no push below the current
 // event time (Schedule panics on it), so every queued or future event lies
 // at or after lastAt's window: anchoring the walk there — instead of
 // persisting a cursor that could advance past windows where later pushes
-// still land — makes the scan position always correct by construction.
+// still land — makes the scan position always correct by construction. What
+// the queue does keep between calls is minB, the bucket holding the
+// minimum: peekAt finds it, pop takes from it, and a push landing below the
+// minimum moves it to the pushed event's bucket. The parallel engine peeks
+// every shard each round and again before each pop, so without the memo
+// every peek would repeat the walk.
+//
+// Bucket arrays are kept across rebuilds (a rebuild clears their slots and
+// re-files the events), and the buckets a halving retires keep theirs for
+// the next doubling, so a run whose population swings stops allocating once
+// every bucket has held its largest cluster. Stored capacity is bounded: a
+// rebuild drops any array with room for more than calCapPerBucket events,
+// such as one left by a same-instant spike or by a push burst filed before
+// any pop had sized the width.
 
-const calMinBuckets = 16
+const (
+	calMinBuckets = 16
+	// calWidthMul is the bucket width in mean pop spacings: about this many
+	// events per popped bucket.
+	calWidthMul = 3
+	// calMaxWork is the mean work per pop (events in the popped bucket plus
+	// buckets walked) above which the queue re-derives its width.
+	calMaxWork = 4
+	// calCapPerBucket is the largest bucket array, in events, that a
+	// rebuild keeps. A bucket that once held 9 to 16 events has room for 17.
+	calCapPerBucket = 24
+)
 
 type calendarQueue struct {
+	// buckets holds the nb live buckets; the capacity beyond nb keeps the
+	// buckets of a larger calendar, with their arrays, for the next growth.
 	buckets []bucketHeap
 	nb      int // power of two
 	mask    int
 	width   Time
 	size    int
 	lastAt  Time // time of the most recently popped event (the scan floor)
+	minB    int  // bucket holding the minimum, or -1 if not yet found
+
+	// pops counts the pops since the last rebuild, which left lastAt at
+	// from: their mean spacing sizes the next width. work sums the pop work
+	// over the current window of `window` pops (at most nb).
+	pops, window, work int
+	from               Time
+
+	spare []event // buffer for re-filing events, kept across rebuilds
 }
 
 func newCalendarQueue() *calendarQueue {
-	q := &calendarQueue{}
-	q.reinit(calMinBuckets, 256)
+	q := &calendarQueue{width: 256, minB: -1}
+	q.rebuild(calMinBuckets)
 	return q
-}
-
-// reinit replaces the bucket array: nb buckets of the given width.
-func (q *calendarQueue) reinit(nb int, width Time) {
-	if width < 1 {
-		width = 1
-	}
-	q.buckets = make([]bucketHeap, nb)
-	q.nb = nb
-	q.mask = nb - 1
-	q.width = width
 }
 
 func (q *calendarQueue) len() int { return q.size }
 
 func (q *calendarQueue) push(ev event) {
-	q.buckets[int(ev.at/q.width)&q.mask].push(ev)
+	i := int(ev.at/q.width) & q.mask
+	if q.minB >= 0 && less(&ev, &q.buckets[q.minB][0]) {
+		q.minB = i
+	}
+	q.buckets[i].push(ev)
 	q.size++
 	if q.size > 2*q.nb {
-		q.resize(q.nb * 2)
+		q.rebuild(2 * q.nb)
 	}
 }
 
 // pop removes and returns the minimum by (at, src, seq). The queue must be
 // non-empty.
 func (q *calendarQueue) pop() event {
-	i := q.findMin()
+	i := q.minB
+	if i < 0 {
+		i = q.findMin()
+	}
+	q.minB = -1
+	q.work += len(q.buckets[i])
 	ev := q.buckets[i].pop()
 	q.size--
 	q.lastAt = ev.at
-	if q.size < q.nb/2 && q.nb > calMinBuckets {
-		q.resize(q.nb / 2)
+	q.pops++
+	q.window++
+	switch {
+	case q.size < q.nb/2 && q.nb > calMinBuckets:
+		q.rebuild(q.nb / 2)
+	case q.work > calMaxWork*q.nb:
+		q.rebuild(q.nb)
+	case q.window >= q.nb:
+		q.window, q.work = 0, 0
 	}
 	return ev
 }
@@ -111,13 +161,16 @@ func (q *calendarQueue) pop() event {
 // peekAt returns the at of the minimum without removing it. The queue must
 // be non-empty.
 func (q *calendarQueue) peekAt() Time {
-	i := q.findMin()
-	return q.buckets[i][0].at
+	if q.minB < 0 {
+		q.minB = q.findMin()
+	}
+	return q.buckets[q.minB][0].at
 }
 
-// findMin returns the index of the bucket holding the global minimum. The
-// queue must be non-empty. It mutates nothing: the scan is re-anchored at
-// lastAt's window each call, which pop's lastAt update advances.
+// findMin returns the index of the bucket holding the global minimum,
+// adding the buckets it walked to the pop work. The queue must be
+// non-empty. The scan is re-anchored at lastAt's window each call, which
+// pop's lastAt update advances.
 func (q *calendarQueue) findMin() int {
 	// Walk at most one year forward from lastAt's window: a bucket's
 	// minimum is its heap root, so the in-window test is one comparison.
@@ -126,6 +179,7 @@ func (q *calendarQueue) findMin() int {
 	top := (w + 1) * q.width
 	for i := 0; i < q.nb; i++ {
 		if b := q.buckets[cur]; len(b) > 0 && b[0].at < top {
+			q.work += i
 			return cur
 		}
 		cur = (cur + 1) & q.mask
@@ -133,6 +187,7 @@ func (q *calendarQueue) findMin() int {
 	}
 	// Nothing within a year: the queue is sparse relative to its calendar.
 	// Direct-search the bucket roots for the global minimum.
+	q.work += 2 * q.nb
 	best := -1
 	for i := range q.buckets {
 		b := q.buckets[i]
@@ -146,50 +201,50 @@ func (q *calendarQueue) findMin() int {
 	return best
 }
 
-// resize rebuilds the calendar with nb buckets and a width re-derived from
-// the live events' time span, re-inserting everything. Amortized O(1): a
-// resize at size s costs O(s) and cannot recur for another Θ(s) operations.
-func (q *calendarQueue) resize(nb int) {
-	old := q.buckets
-	lo, hi, n := Time(0), Time(0), 0
-	for i := range old {
-		for j := range old[i] {
-			at := old[i][j].at
-			if n == 0 || at < lo {
-				lo = at
-			}
-			if n == 0 || at > hi {
-				hi = at
-			}
-			n++
-		}
-	}
-	// Width targeting ~2 windows per event across the live span keeps mean
-	// occupancy O(1); a same-instant spike (span 0) just concentrates in
-	// one bucket heap, which is a binary heap's behavior anyway. The span is
-	// measured from lastAt, not the queue minimum: the scan starts at
-	// lastAt's window, so width must keep that distance bounded in windows.
+// rebuild re-files every event into nb buckets whose width is calWidthMul
+// mean pop spacings since the last rebuild (the current width if nothing
+// was popped), clamped to at least 1 and small enough that a year's walk
+// cannot overflow Time. It keeps the bucket arrays up to calCapPerBucket,
+// and does nothing if neither nb nor the width would change.
+func (q *calendarQueue) rebuild(nb int) {
 	width := q.width
-	if n > 1 {
-		span := hi - q.lastAt
-		if span > 0 {
-			width = 2 * span / Time(n)
-			if width < 1 {
-				width = 1
-			}
-		}
+	if q.pops > 0 {
+		width = calWidthMul * min(q.lastAt-q.from, 1<<60) / Time(q.pops)
 	}
-	q.reinit(nb, width)
-	for i := range old {
-		for j := range old[i] {
-			ev := old[i][j]
-			q.buckets[int(ev.at/q.width)&q.mask].push(ev)
-		}
+	width = min(max(width, 1), Time(1<<60)/Time(nb))
+	q.window, q.work = 0, 0
+	if nb == q.nb && width == q.width {
+		return
 	}
+	q.pops, q.from = 0, q.lastAt
+	q.minB = -1
+	all := q.spare[:0]
+	for i, b := range q.buckets {
+		all = append(all, b...)
+		if cap(b) > calCapPerBucket {
+			b = nil
+		}
+		clear(b)
+		q.buckets[i] = b[:0]
+	}
+	if nb <= cap(q.buckets) {
+		q.buckets = q.buckets[:nb]
+	} else {
+		grown := make([]bucketHeap, nb)
+		copy(grown, q.buckets[:cap(q.buckets)])
+		q.buckets = grown
+	}
+	q.nb, q.mask, q.width = nb, nb-1, width
+	for i := range all {
+		q.buckets[int(all[i].at/width)&q.mask].push(all[i])
+	}
+	clear(all) // release the fn/timer pointers
+	q.spare = all[:0]
 }
 
 // compact removes every event for which dead returns true, returning how
-// many were removed. Used to reclaim cancelled-timer slots.
+// many were removed. Used to reclaim cancelled-timer slots. The minimum may
+// be among them, so the memo goes.
 func (q *calendarQueue) compact(dead func(*event) bool) int {
 	removed := 0
 	for i := range q.buckets {
@@ -201,10 +256,12 @@ func (q *calendarQueue) compact(dead func(*event) bool) int {
 				b = append(b, q.buckets[i][j])
 			}
 		}
+		clear(q.buckets[i][len(b):])
 		q.buckets[i] = b
 		q.buckets[i].init()
 	}
 	q.size -= removed
+	q.minB = -1
 	return removed
 }
 

@@ -115,6 +115,123 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 	}
 }
 
+// TestCalendarOracleShapeShifts drives the calendar queue and the heap
+// oracle through streams that change shape mid-run, so the width, the
+// rebuild trigger and the remembered minimum all see their transitions: a
+// dense front over a sparse far tail, same-instant spikes, long empty
+// stretches, and population swings across several doublings and halvings.
+// Peeks are interleaved with pushes that land below the remembered minimum,
+// and with compactions that may remove the minimum itself. Every peek and
+// pop must match the oracle.
+func TestCalendarOracleShapeShifts(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(int64(2000 + trial)))
+		cal := newCalendarQueue()
+		orc := &heapQueue{}
+		var now Time
+		var seq uint64
+		push := func(at Time) {
+			seq++
+			ev := event{at: at, seq: seq, p: func() {}, dst: kindCall}
+			if rng.Intn(4) == 0 {
+				ev.p, ev.dst = &Timer{}, kindTimer
+			}
+			cal.push(ev)
+			orc.push(ev)
+		}
+		pop := func(where string) {
+			if got, want := cal.peekAt(), orc.peekAt(); got != want {
+				t.Fatalf("trial %d %s: peekAt calendar=%d oracle=%d", trial, where, got, want)
+			}
+			a, b := cal.pop(), orc.pop()
+			if a.at != b.at || a.seq != b.seq {
+				t.Fatalf("trial %d %s: pop calendar=(%d,%d) oracle=(%d,%d)", trial, where, a.at, a.seq, b.at, b.seq)
+			}
+			now = a.at
+		}
+		dead := func(ev *event) bool { return ev.dst == kindTimer && ev.p.(*Timer).stopped }
+		for phase := 0; phase < 40; phase++ {
+			switch phase % 5 {
+			case 0: // dense front, sparse far tail, population swinging
+				target := 16 << rng.Intn(9)
+				for op := 0; op < 3000; op++ {
+					if orc.len() < target || rng.Intn(2) == 0 {
+						if rng.Intn(100) == 0 {
+							push(now + 100_000 + Time(rng.Intn(10_000_000)))
+						} else {
+							push(now + Time(rng.Intn(40)))
+						}
+					} else if orc.len() > 0 {
+						pop("dense")
+					}
+				}
+			case 1: // a same-instant spike, drained part way
+				at := now + Time(rng.Intn(1000))
+				for i := rng.Intn(2000); i >= 0; i-- {
+					push(at)
+				}
+				for i := rng.Intn(3000); i > 0 && orc.len() > 0; i-- {
+					pop("spike")
+				}
+			case 2: // drain to a few events, then a long empty stretch
+				for orc.len() > 3 {
+					pop("drain")
+				}
+				gap := Time(1) << (20 + rng.Intn(30))
+				for i := 0; i < 50; i++ {
+					push(now + gap + Time(rng.Intn(1000)))
+				}
+			case 3: // peeks, then pushes below the remembered minimum
+				for op := 0; op < 500 && orc.len() > 0; op++ {
+					min := cal.peekAt()
+					if min > now {
+						push(now + Time(rng.Int63n(int64(min-now))))
+					} else {
+						push(now)
+					}
+					if rng.Intn(3) == 0 {
+						pop("below-min")
+					}
+				}
+			case 4: // compaction right after a peek, often of the minimum
+				for op := 0; op < 100; op++ {
+					for op%4 == 0 && orc.len() > 0 {
+						pop("drain before compact") // the timer below is then alone
+					}
+					tm := &Timer{}
+					seq++
+					ev := event{at: now, seq: seq, p: tm, dst: kindTimer}
+					cal.push(ev)
+					orc.push(ev)
+					cal.peekAt()
+					tm.stopped = rng.Intn(2) == 0
+					for i := range orc.h {
+						if ev := orc.h[i]; ev.dst == kindTimer && rng.Intn(20) == 0 {
+							ev.p.(*Timer).stopped = true
+						}
+					}
+					if got, want := cal.compact(dead), orc.compact(dead); got != want {
+						t.Fatalf("trial %d phase %d: compact removed %d from calendar, %d from oracle", trial, phase, got, want)
+					}
+					if orc.len() > 0 {
+						pop("compact")
+					}
+					push(now + Time(rng.Intn(1000)))
+				}
+			}
+			if cal.len() != orc.len() {
+				t.Fatalf("trial %d phase %d: len calendar=%d oracle=%d", trial, phase, cal.len(), orc.len())
+			}
+		}
+		for orc.len() > 0 {
+			pop("final drain")
+		}
+		if cal.len() != 0 {
+			t.Fatalf("trial %d: calendar holds %d events after oracle drained", trial, cal.len())
+		}
+	}
+}
+
 // TestQueueTieBreakTwoProducers is the regression test for the same-instant
 // tie-break: two producers (distinct scheduling contexts) push equal-time
 // events, interleaved differently into the calendar queue and the heap
@@ -236,49 +353,201 @@ func TestStoppedTimerNeverFires(t *testing.T) {
 	}
 }
 
+// lcg is a deterministic generator for the queue streams below: rand.Rand in
+// a benchmark loop would dominate the measurement.
+type lcg uint64
+
+// next returns a draw from [0, bound).
+func (s *lcg) next(bound Time) Time {
+	*s = *s*6364136223846793005 + 1442695040888963407
+	return Time(*s>>33) % bound
+}
+
+// skewedInc draws a hold increment shaped like the sor-heap workload's
+// queue: most events land within 800 cycles of now, and 3 in 1000 are
+// timers and deadlines 1,000 to 131,000 cycles out. The far tail is what
+// stretched span-sized buckets over the whole front.
+func skewedInc(s *lcg) Time {
+	if s.next(1000) < 3 {
+		return 1000 + s.next(130_000)
+	}
+	return s.next(800)
+}
+
+// bucketSlots is the queue's stored event capacity: every bucket array,
+// live or kept for a larger calendar, and the rebuild buffer.
+func bucketSlots(q *calendarQueue) int {
+	n := cap(q.spare)
+	for _, b := range q.buckets[:cap(q.buckets)] {
+		n += cap(b)
+	}
+	return n
+}
+
+// TestCalendarSkewedBucketLoad holds a sor-heap-shaped stream at 320 events
+// and asserts that a pop takes from a bucket holding at most 4 events on
+// average (2.7 here). Buckets sized from the span of everything queued held
+// 103.
+func TestCalendarSkewedBucketLoad(t *testing.T) {
+	q := newCalendarQueue()
+	s := lcg(1)
+	var seq uint64
+	for ; seq < 320; seq++ {
+		q.push(event{at: skewedInc(&s), seq: seq})
+	}
+	const warm, measured = 100_000, 100_000
+	events := 0
+	for i := 0; i < warm+measured; i++ {
+		if i >= warm {
+			q.peekAt()
+			events += len(q.buckets[q.minB])
+		}
+		ev := q.pop()
+		seq++
+		q.push(event{at: ev.at + skewedInc(&s), seq: seq})
+	}
+	if mean := float64(events) / measured; mean > 4 {
+		t.Fatalf("mean events per popped bucket = %.1f, want at most 4", mean)
+	}
+}
+
+// swingQueue grows q to 4096 events and shrinks it back to 256, four
+// doublings and four halvings. It pops the minimum and, while growing,
+// pushes two events at the next free instants past the last one queued, so
+// every instant holds one event and every swing is the same traffic at a
+// later time. It returns the largest population reached.
+func swingQueue(q *calendarQueue, last *Time, seq *uint64) int {
+	for grow := true; ; {
+		q.pop()
+		if grow {
+			for i := 0; i < 2; i++ {
+				*last++
+				*seq++
+				q.push(event{at: *last, seq: *seq})
+			}
+		}
+		if grow && q.len() >= 4096 {
+			grow = false
+		} else if !grow && q.len() <= 256 {
+			return 4096
+		}
+	}
+}
+
+// TestCalendarSwingAllocatesNothing: once every bucket has held its largest
+// cluster, a run whose population swings across doublings and halvings
+// allocates nothing: resizes re-file events into the arrays the buckets
+// already have. A queue that drops its bucket arrays on each resize
+// allocates on every one. (On a random stream a bucket now and then first
+// holds a larger cluster than before, and that growth allocates.)
+func TestCalendarSwingAllocatesNothing(t *testing.T) {
+	q := newCalendarQueue()
+	var last Time
+	var seq uint64
+	for ; seq < 256; seq++ {
+		last++
+		q.push(event{at: last, seq: seq})
+	}
+	swingQueue(q, &last, &seq)
+	if allocs := testing.AllocsPerRun(10, func() { swingQueue(q, &last, &seq) }); allocs != 0 {
+		t.Fatalf("a population swing allocates %.0f times after warm-up, want 0", allocs)
+	}
+}
+
+// TestCalendarStorageBounded: the queue's stored capacity (bucket arrays,
+// live or kept, plus the rebuild buffer) stays within 16 event slots per
+// event of peak population through a hold at 320, population swings and
+// same-instant spikes. It peaks near 11 here; right after a rebuild the
+// queue guarantees at most calCapPerBucket+1. Buckets as wide as the whole
+// front kept the capacity of the front's clusters: up to 218 slots per
+// event on this stream.
+func TestCalendarStorageBounded(t *testing.T) {
+	q := newCalendarQueue()
+	s := lcg(3)
+	var seq uint64
+	peak := 0
+	check := func(phase string) {
+		peak = max(peak, q.len())
+		if slots := bucketSlots(q); slots > 16*peak {
+			t.Fatalf("%s: %d event slots stored for a peak of %d events, want at most %d",
+				phase, slots, peak, 16*peak)
+		}
+	}
+	for ; seq < 320; seq++ {
+		q.push(event{at: skewedInc(&s), seq: seq})
+	}
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 100_000; i++ {
+			ev := q.pop()
+			seq++
+			q.push(event{at: ev.at + skewedInc(&s), seq: seq})
+			if i%1000 == 0 {
+				check("hold")
+			}
+		}
+		last := q.peekAt() + 1000
+		peak = max(peak, swingQueue(q, &last, &seq))
+		check("swing")
+		at := q.peekAt() + s.next(1000)
+		for i := 0; i < 300; i++ {
+			seq++
+			q.push(event{at: at, seq: seq})
+		}
+		check("spike")
+	}
+}
+
 // benchQueue measures steady-state hold throughput (pop one, push one) at a
 // queue population of `size`: the access pattern of a big run, where the
-// queue holds one in-flight event per busy node. Hold increments are drawn
-// uniformly over ~4x the population so live events spread across the
-// calendar the way a machine-wide run spreads them across virtual time
-// (each node's next event lands somewhere in the whole in-flight horizon),
-// rather than piling a million events onto a few thousand instants.
+// queue holds one in-flight event per busy node. inc draws each event's
+// distance from the event popped before it.
 func benchQueue(b *testing.B, q interface {
 	push(event)
 	pop() event
-}, size int) {
-	// Deterministic LCG; rand.Rand in the loop would dominate the measurement.
-	s := uint64(12345)
-	next := func(bound Time) Time {
-		s = s*6364136223846793005 + 1442695040888963407
-		return Time(s>>33) % bound
-	}
-	span := Time(4 * size)
+}, size int, inc func(*lcg) Time) {
+	s := lcg(12345)
 	var seq uint64
 	for i := 0; i < size; i++ {
 		seq++
-		q.push(event{at: next(span), seq: seq})
+		q.push(event{at: inc(&s), seq: seq})
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := q.pop()
 		seq++
-		q.push(event{at: ev.at + 1 + next(span), seq: seq})
+		q.push(event{at: ev.at + inc(&s), seq: seq})
 	}
+}
+
+// uniformInc draws hold increments uniformly over ~4x the population so
+// live events spread across the calendar the way a machine-wide run spreads
+// them across virtual time (each node's next event lands somewhere in the
+// whole in-flight horizon), rather than piling a million events onto a few
+// thousand instants. It is the calendar queue's best case.
+func uniformInc(size int) func(*lcg) Time {
+	return func(s *lcg) Time { return 1 + s.next(Time(4*size)) }
 }
 
 // BenchmarkMillionEvents is the headline queue benchmark: hold operations at
 // the scale run's population (4096 nodes, one in-flight event each). Run
 // with -benchtime=1000000x to dispatch exactly one million events.
 func BenchmarkMillionEvents(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 4096) })
-	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 4096) })
+	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 4096, uniformInc(4096)) })
+	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 4096, uniformInc(4096)) })
 }
 
 // BenchmarkQueueHoldMillionPop stresses a million-event *population* — every
 // operation is a DRAM miss for any structure, so the gap narrows; the
 // calendar must still win.
 func BenchmarkQueueHoldMillionPop(b *testing.B) {
-	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 1_000_000) })
-	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 1_000_000) })
+	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 1_000_000, uniformInc(1_000_000)) })
+	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 1_000_000, uniformInc(1_000_000)) })
+}
+
+// BenchmarkQueueSkewed holds the sor-heap-shaped stream (skewedInc) at that
+// workload's mean population of 320 events: a dense front over a sparse far
+// tail, the shape uniform increments never show.
+func BenchmarkQueueSkewed(b *testing.B) {
+	b.Run("calendar", func(b *testing.B) { benchQueue(b, newCalendarQueue(), 320, skewedInc) })
+	b.Run("heap", func(b *testing.B) { benchQueue(b, &heapQueue{}, 320, skewedInc) })
 }
