@@ -339,6 +339,9 @@ func (n *NodeRT) park(msg *Msg) {
 func (n *NodeRT) installEntry(ref Ref, entry *Object) {
 	if int(ref.Node) == n.ID {
 		n.objects[ref.Index] = entry
+		if d := entry.dur; d != nil && d.mutVer > d.ackVer {
+			n.markDirty(ref.Index) // mutated while away
+		}
 		return
 	}
 	if n.imports == nil {

@@ -77,6 +77,12 @@ type NodeRT struct {
 	// mutation after a quiet spell arms one flush timer; mutations arriving
 	// within the commit delay share it (see requestFlush in recover.go).
 	flushPending bool
+	// dirty has bit i set whenever objects[i] may hold durable mutations
+	// its backup has not acked (mutVer > ackVer), so a checkpoint visits
+	// those objects alone. noteDurable and an object's return home set
+	// bits; shipNode clears the bit of an object it finds acked, lost or
+	// away.
+	dirty []uint64
 
 	// recov holds this node's share of the recovery accounting that is
 	// mutated from node-context events (checkpoint shipping, restores) —

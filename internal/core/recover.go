@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/instr"
 	"repro/internal/sim"
@@ -367,8 +368,10 @@ func (rt *RT) startCheckpoints() {
 }
 
 // checkpointTick snapshots every dirty checkpointable object on every up
-// node to its backup. Clean objects (mutVer == snapVer) cost nothing, so
-// checkpoint overhead scales with the mutation rate, not the object count.
+// node to its backup. Clean objects cost nothing — shipNode visits only the
+// objects in its node's dirty set, a word of which covers 64 objects — so
+// checkpoint overhead, in virtual and in host time, scales with the
+// mutation rate, not the object count.
 func (rt *RT) checkpointTick() {
 	for _, n := range rt.Nodes {
 		rt.shipNode(n)
@@ -401,25 +404,29 @@ func (rt *RT) shipNode(n *NodeRT) {
 		overdue = reshipFloor
 	}
 	var batch []ckptItem
-	for _, o := range n.objects {
-		d := o.dur
-		if o.lost || o.away || d == nil || d.mutVer <= d.ackVer {
-			continue
+	for w := range n.dirty {
+		for word := n.dirty[w]; word != 0; word &= word - 1 {
+			o := n.objects[w*64+bits.TrailingZeros64(word)]
+			d := o.dur
+			if o.lost || o.away || d == nil || d.mutVer <= d.ackVer {
+				n.dirty[w] &^= word & -word // acked, lost or away: clean
+				continue
+			}
+			if d.mutVer <= d.snapVer && now-d.snapAt < overdue {
+				continue // shipped and awaiting a (not yet overdue) ack
+			}
+			c, ok := o.State.(Checkpointable)
+			if !ok {
+				continue
+			}
+			words := append([]Word(nil), c.CheckpointWords()...)
+			d.snapVer = d.mutVer
+			d.snapAt = now
+			batch = append(batch, ckptItem{ref: o.Ref, ver: d.mutVer, words: words})
+			n.Stats.CkptsTaken++
+			n.recov.CkptWords += int64(len(words))
+			rt.traceEvent(n, uint8(trace.KCheckpoint), nil, int64(len(words)))
 		}
-		if d.mutVer <= d.snapVer && now-d.snapAt < overdue {
-			continue // shipped and awaiting a (not yet overdue) ack
-		}
-		c, ok := o.State.(Checkpointable)
-		if !ok {
-			continue
-		}
-		words := append([]Word(nil), c.CheckpointWords()...)
-		d.snapVer = d.mutVer
-		d.snapAt = now
-		batch = append(batch, ckptItem{ref: o.Ref, ver: d.mutVer, words: words})
-		n.Stats.CkptsTaken++
-		n.recov.CkptWords += int64(len(words))
-		rt.traceEvent(n, uint8(trace.KCheckpoint), nil, int64(len(words)))
 	}
 	b := rt.Nodes[rt.backup(n.ID)]
 	for _, chunk := range rt.fragment(batch) {
@@ -596,5 +603,17 @@ func (rt *RT) handleRestore(n *NodeRT, msg *Msg) {
 func (rt *RT) noteDurable(n *NodeRT, m *Method, obj *Object) {
 	if m.Durable && rt.checkpointing() {
 		obj.durable().mutVer++
+		if int(obj.Ref.Node) == n.ID {
+			n.markDirty(obj.Ref.Index)
+		}
 	}
+}
+
+// markDirty adds objects[i] to the set shipNode visits.
+func (n *NodeRT) markDirty(i int32) {
+	w := int(i) / 64
+	if w >= len(n.dirty) {
+		n.dirty = append(n.dirty, make([]uint64, w+1-len(n.dirty))...)
+	}
+	n.dirty[w] |= 1 << (i % 64)
 }
