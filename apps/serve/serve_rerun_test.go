@@ -69,12 +69,24 @@ func TestServeRerunDeterministicParallelEngine(t *testing.T) {
 	}
 }
 
+// crashTranscriptPin is the fingerprint of the crash-recovery
+// serveTranscript below: it covers the reliable layer's acks,
+// retransmissions and duplicate suppression, which a comparison of two runs
+// of one build cannot see move. A change that moves it on purpose re-pins
+// it.
+const crashTranscriptPin = "071b717bd8764439"
+
 // TestCrashRecoveryRerunDeterministic: the crash/checkpoint/restore path —
-// the most state-heavy machinery in the repo — replays byte-identically too.
+// the most state-heavy machinery in the repo — matches its pin and replays
+// byte-identically too.
 func TestCrashRecoveryRerunDeterministic(t *testing.T) {
-	if err := exp.CheckRerun(func() string {
+	run := func() string {
 		return serveTranscript(crashConfig(11), crashParams(1995))
-	}); err != nil {
+	}
+	if got := exp.Fingerprint(run()); got != crashTranscriptPin {
+		t.Fatalf("transcript fingerprint %s, pinned %s", got, crashTranscriptPin)
+	}
+	if err := exp.CheckRerun(run); err != nil {
 		t.Fatal(err)
 	}
 }
