@@ -68,13 +68,18 @@ examples:
 	$(GO) run ./cmd/minic -stats -mode parallel examples/minilang/binom.cal 16 8 > /tmp/concert_minic_parallel.out
 	diff -u cmd/minic/testdata/binom_parallel.txt /tmp/concert_minic_parallel.out
 
-# Fuzz the minic front end for 30 s from the pinned corpus: Compile must not
-# panic, must return every error as a positioned *lang.Error, and every
-# program it accepts must resolve under each interface set. A failing input
-# is written to internal/lang/testdata/fuzz/FuzzCompile; commit it with the
+# Fuzz for 30 s each, from the committed corpora. FuzzCompile: the minic
+# front end must not panic, must return every error as a positioned
+# *lang.Error, and every program it accepts must resolve under each
+# interface set. FuzzReliable: a small reliable serving run under a
+# generated fault schedule (drop, dup, reorder, stall and crash windows,
+# checkpoint period) must apply every RMW exactly once, lose no request,
+# quiesce when crash-free, and rerun byte-identically. A failing input is
+# written under the package's testdata/fuzz/<target>; commit it with the
 # fix, and plain go test replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 30s ./internal/lang
+	$(GO) test -run '^$$' -fuzz '^FuzzReliable$$' -fuzztime 30s ./apps/serve
 
 # Fault-injection smoke: the short loss sweep under the race detector, then
 # the full Table 8 sweep (verified against native references, 3x budget).
