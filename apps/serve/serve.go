@@ -441,7 +441,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		fn := rt.Node(rq.Front)
 		if fn.Sim.Down() || fn.ObjectLost(fronts[rq.Front]) {
 			if cfg.CheckpointPeriod > 0 && !app.finished[rq.ID] {
-				eng.AfterFunc(probeEvery, func() {
+				eng.Schedule(eng.Now()+probeEvery, func() {
 					if !app.finished[rq.ID] {
 						launch(rq)
 					}
@@ -458,7 +458,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	// RMW variant keeps the duplicated mutations exactly-once.
 	var deadline func(rqID int, try int, wait instr.Instr)
 	deadline = func(rqID, try int, wait instr.Instr) {
-		eng.AfterFunc(wait, func() {
+		eng.Schedule(eng.Now()+wait, func() {
 			if app.finished[rqID] {
 				return
 			}

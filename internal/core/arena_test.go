@@ -21,7 +21,7 @@ func TestObjectArenaStablePointers(t *testing.T) {
 	rt := NewRT(eng, machine.CM5(), p, DefaultHybrid())
 	n := rt.Node(0)
 
-	const total = 10 * objArenaSlab
+	total := 10 * slabLen[Object]()
 	refs := make([]Ref, total)
 	ptrs := make([]*Object, total)
 	for i := 0; i < total; i++ {
@@ -110,14 +110,15 @@ func TestObjectFootprint(t *testing.T) {
 // worker set-up); rounding up a class costs over a kilobyte per slab.
 func TestObjectArenaSlabSize(t *testing.T) {
 	const slabs = 256
-	var a objArena
+	var a slab[Object]
+	per := slabLen[Object]()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < slabs*objArenaSlab; i++ {
+	for i := 0; i < slabs*per; i++ {
 		a.alloc()
 	}
 	runtime.ReadMemStats(&after)
-	if perSlab := (after.TotalAlloc - before.TotalAlloc) / slabs; perSlab > objArenaSlabBytes+objArenaSlabBytes/64 {
-		t.Fatalf("a slab of %d objects allocates %d bytes, want about %d", objArenaSlab, perSlab, objArenaSlabBytes)
+	if perSlab := (after.TotalAlloc - before.TotalAlloc) / slabs; perSlab > slabBytes+slabBytes/64 {
+		t.Fatalf("a slab of %d objects allocates %d bytes, want about %d", per, perSlab, slabBytes)
 	}
 }

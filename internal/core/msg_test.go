@@ -247,6 +247,20 @@ func TestRemoteMessagesAllocateNothing(t *testing.T) {
 	}
 }
 
+// TestReliableRemoteSumAllocs: a warm reliable remote sum allocates its
+// four messages and nothing else. A reliable runtime does not recycle
+// messages; everything the reliable layer adds — frames, acks, their
+// delivery payloads and the link timers — comes from the nodes' slabs or
+// is embedded in the links.
+func TestReliableRemoteSumAllocs(t *testing.T) {
+	cfg := DefaultHybrid()
+	cfg.Reliable = true
+	run := warmRemoteSum(t, cfg)
+	if allocs := testing.AllocsPerRun(100, run); allocs > 4 {
+		t.Fatalf("a warm reliable remote sum (4 messages) allocates %.0f times, want at most 4", allocs)
+	}
+}
+
 // TestMessageFreeList pins the free list's contract: a consumed message
 // comes back from newMsg blank but for its argument capacity, a node keeps
 // at most maxFreeMsgs, and a reliable runtime recycles nothing.

@@ -62,7 +62,11 @@ func NewRT(eng *sim.Engine, mdl *machine.Model, prog *Program, cfg Config) *RT {
 	rt.incs = make([]int32, eng.NumNodes())
 	rt.Nodes = make([]*NodeRT, eng.NumNodes())
 	for i := range rt.Nodes {
-		rt.Nodes[i] = &NodeRT{ID: i, Sim: eng.Node(i), rt: rt}
+		n := &NodeRT{ID: i, Sim: eng.Node(i), rt: rt}
+		if cfg.CheckpointPeriod > 0 {
+			n.flush.Init(n.Sim, func() { rt.flushNode(n) })
+		}
+		rt.Nodes[i] = n
 	}
 	eng.SetRunner(rt)
 	rt.installEngine()
@@ -207,9 +211,9 @@ func (rt *RT) Deliver(sn *sim.Node, from int, payload any) {
 	switch p := payload.(type) {
 	case *Msg:
 		rt.deliverInbox(n, p)
-	case relData:
+	case *relFrame:
 		rt.recvFrame(n, from, p.epoch, p.seq, p.msg)
-	case relAck:
+	case *relAck:
 		rt.recvAck(n, from, p.epoch, p.cursor)
 	default:
 		panic(fmt.Sprintf("core: node %d received an unknown payload %T", sn.ID, payload))

@@ -179,12 +179,15 @@ func TestBrownOutSlowsClock(t *testing.T) {
 	}
 }
 
+// TestAfterFuncAndStop: a timer armed for later fires then, and one stopped
+// before its time never runs, though its stale event still pops.
 func TestAfterFuncAndStop(t *testing.T) {
 	eng := NewEngine(1)
 	newFifo(eng, 1)
 	fired := 0
-	eng.AfterFunc(100, func() { fired++ })
-	tm := eng.AfterFunc(200, func() { fired += 10 })
+	newTimer(eng.Node(0), func() { fired++ }).Reset(100)
+	tm := newTimer(eng.Node(0), func() { fired += 10 })
+	tm.Reset(200)
 	eng.Schedule(50, func() { tm.Stop() })
 	eng.Run()
 	if fired != 1 {

@@ -92,13 +92,14 @@ func TestTimerStopShardLocal(t *testing.T) {
 			fifo.push(i, func(n *Node) {
 				// Arm enough dead weight to cross the compaction trigger,
 				// then cancel it all within this node's own context.
-				timers := make([]*Timer, 3*compactMinQueue)
+				timers := make([]Timer, 3*compactMinQueue)
 				for j := range timers {
-					timers[j] = n.AfterFunc(1_000_000+Time(j), func() { fired[n.ID]++ })
+					timers[j].Init(n, func() { fired[n.ID]++ })
+					timers[j].Reset(1_000_000 + Time(j))
 				}
 				fifo.push(n.ID, func(m *Node) {
-					for _, tm := range timers {
-						tm.Stop()
+					for j := range timers {
+						timers[j].Stop()
 					}
 				})
 				// Cross-shard sends force real windows around the cancels.

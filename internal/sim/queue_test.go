@@ -62,6 +62,7 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 			ev := event{at: at, seq: seq, p: func() {}, dst: kindCall}
 			if tm != nil {
 				ev.p, ev.dst = tm, kindTimer
+				tm.seq = seq
 			}
 			cal.push(ev)
 			orc.push(ev)
@@ -78,11 +79,10 @@ func TestCalendarMatchesHeapOracle(t *testing.T) {
 				push(now+1+Time(rng.Intn(1_000_000)), tm)
 			case r < 7: // cancel a random timer
 				if len(timers) > 0 {
-					timers[rng.Intn(len(timers))].stopped = true
+					timers[rng.Intn(len(timers))].seq = 0
 				}
 			case r < 8: // compact both queues
-				dead := func(ev *event) bool { return ev.dst == kindTimer && ev.p.(*Timer).stopped }
-				if got, want := cal.compact(dead), orc.compact(dead); got != want {
+				if got, want := cal.compact(staleTimer), orc.compact(staleTimer); got != want {
 					t.Fatalf("trial %d op %d: compact removed %d from calendar, %d from oracle", trial, op, got, want)
 				}
 			default: // pop a burst
@@ -134,7 +134,7 @@ func TestCalendarOracleShapeShifts(t *testing.T) {
 			seq++
 			ev := event{at: at, seq: seq, p: func() {}, dst: kindCall}
 			if rng.Intn(4) == 0 {
-				ev.p, ev.dst = &Timer{}, kindTimer
+				ev.p, ev.dst = &Timer{seq: seq}, kindTimer
 			}
 			cal.push(ev)
 			orc.push(ev)
@@ -149,7 +149,6 @@ func TestCalendarOracleShapeShifts(t *testing.T) {
 			}
 			now = a.at
 		}
-		dead := func(ev *event) bool { return ev.dst == kindTimer && ev.p.(*Timer).stopped }
 		for phase := 0; phase < 40; phase++ {
 			switch phase % 5 {
 			case 0: // dense front, sparse far tail, population swinging
@@ -198,19 +197,21 @@ func TestCalendarOracleShapeShifts(t *testing.T) {
 					for op%4 == 0 && orc.len() > 0 {
 						pop("drain before compact") // the timer below is then alone
 					}
-					tm := &Timer{}
 					seq++
+					tm := &Timer{seq: seq}
 					ev := event{at: now, seq: seq, p: tm, dst: kindTimer}
 					cal.push(ev)
 					orc.push(ev)
 					cal.peekAt()
-					tm.stopped = rng.Intn(2) == 0
+					if rng.Intn(2) == 0 {
+						tm.seq = 0
+					}
 					for i := range orc.h {
 						if ev := orc.h[i]; ev.dst == kindTimer && rng.Intn(20) == 0 {
-							ev.p.(*Timer).stopped = true
+							ev.p.(*Timer).seq = 0
 						}
 					}
-					if got, want := cal.compact(dead), orc.compact(dead); got != want {
+					if got, want := cal.compact(staleTimer), orc.compact(staleTimer); got != want {
 						t.Fatalf("trial %d phase %d: compact removed %d from calendar, %d from oracle", trial, phase, got, want)
 					}
 					if orc.len() > 0 {
@@ -308,17 +309,18 @@ func TestCancelledTimerCompaction(t *testing.T) {
 	e := NewEngine(1)
 
 	const n = 1000
-	timers := make([]*Timer, n)
+	timers := make([]Timer, n)
 	for i := range timers {
-		timers[i] = e.AfterFunc(Time(1_000_000+i), func() {})
+		timers[i].Init(e.Node(0), func() {})
+		timers[i].Reset(Time(1_000_000 + i))
 	}
 	// A handful of live events that must survive compaction.
 	live := 0
 	for i := 0; i < 8; i++ {
 		e.Schedule(Time(10+i), func() { live++ })
 	}
-	for _, tm := range timers {
-		tm.Stop()
+	for i := range timers {
+		timers[i].Stop()
 	}
 	if got := e.Pending(); got > n/2 {
 		t.Fatalf("queue holds %d events after cancelling %d timers; compaction did not run", got, n)
@@ -341,7 +343,8 @@ func TestCancelledTimerCompaction(t *testing.T) {
 func TestStoppedTimerNeverFires(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	tm := e.AfterFunc(100, func() { fired = true })
+	tm := newTimer(e.Node(0), func() { fired = true })
+	tm.Reset(100)
 	tm.Stop()
 	tm.Stop() // double-stop is a no-op
 	e.Run()
