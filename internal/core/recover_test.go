@@ -76,3 +76,50 @@ func TestShipNodeDirtySet(t *testing.T) {
 		t.Fatalf("dirty set %x after every object was acked or lost, want empty", n.dirty)
 	}
 }
+
+// TestFragment: a checkpoint batch splits into chunks that each fit the
+// message-size limit (or hold one oversized item), cover the batch in
+// order, and share its storage — so a batch that fits one message, the
+// usual case, allocates nothing.
+func TestFragment(t *testing.T) {
+	p := NewProgram()
+	if err := p.Resolve(Interfaces3); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultHybrid()
+	cfg.MaxMsgWords = 40
+	rt := NewRT(sim.NewEngine(1), machine.CM5(), p, cfg)
+	batch := make([]ckptItem, 12)
+	for i := range batch {
+		batch[i] = ckptItem{ref: Ref{Index: int32(i)}, words: make([]Word, i%5)}
+	}
+	batch[7].words = make([]Word, 60) // alone exceeds the limit
+
+	var got []int
+	for chunk, rest := rt.fragment(batch); len(chunk) > 0; chunk, rest = rt.fragment(rest) {
+		if w := (&Msg{kind: msgCkpt, ckptBatch: chunk}).words(); w > cfg.MaxMsgWords && len(chunk) > 1 {
+			t.Fatalf("chunk of %d items is %d words, over the %d-word limit", len(chunk), w, cfg.MaxMsgWords)
+		}
+		for _, it := range chunk {
+			got = append(got, int(it.ref.Index))
+		}
+	}
+	if len(got) != len(batch) {
+		t.Fatalf("chunks carry items %v, want all %d in order", got, len(batch))
+	}
+	for i, idx := range got {
+		if idx != i {
+			t.Fatalf("chunks carry items %v, want all %d in order", got, len(batch))
+		}
+	}
+
+	fits := batch[:3]
+	if allocs := testing.AllocsPerRun(100, func() {
+		chunk, rest := rt.fragment(fits)
+		if len(chunk) != len(fits) || len(rest) != 0 {
+			t.Fatalf("a batch that fits split into %d + %d items", len(chunk), len(rest))
+		}
+	}); allocs != 0 {
+		t.Fatalf("fragmenting a batch that fits one message allocates %.0f times, want 0", allocs)
+	}
+}
