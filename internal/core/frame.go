@@ -32,6 +32,9 @@ type Cell struct {
 }
 
 // Frame is one activation: the unified stack-frame / heap-context record.
+// Its 192 bytes are an allocator size class: the join counters are int32
+// and the one-byte fields share one word, so a frame does not round up to
+// the 224-byte class (TestFrameLayout).
 type Frame struct {
 	M    *Method
 	Node *NodeRT
@@ -39,8 +42,6 @@ type Frame struct {
 
 	// PC is the resume point within the body.
 	PC int
-	// Mode is the current execution mode (see Mode).
-	Mode Mode
 
 	// Args and Locals are the compiler-managed state words.
 	Args   []Word
@@ -51,17 +52,20 @@ type Frame struct {
 	// RetCont is the continuation for this activation's result — the fixed
 	// "return continuation" location of the paper's heap contexts.
 	RetCont Cont
-	// CInfo is the caller_info of the CP schema (Section 3.2.3).
-	CInfo CallerInfo
 
 	// touch and join implement touch sets: touch is the slot mask being
 	// waited on, joinOut counts outstanding JoinDiscard replies, join is
 	// the number of fills still needed before the frame wakes.
 	touch   uint64
-	join    int
-	joinOut int
-	waiting bool
+	join    int32
+	joinOut int32
 
+	// Mode is the current execution mode (see Mode).
+	Mode Mode
+	// CInfo is the caller_info of the CP schema (Section 3.2.3).
+	CInfo CallerInfo
+	// waiting marks a frame suspended in TouchAll or TouchJoin.
+	waiting bool
 	// promoted marks that the frame has (lazily) become a heap context.
 	promoted bool
 	// captured marks that the activation's continuation was explicitly
@@ -77,6 +81,7 @@ type Frame struct {
 	// the lost incarnation can never corrupt a reused frame; the scheduler
 	// and future-fill paths skip them.
 	dead bool
+
 	// lockObj is the object whose lock this activation holds, if any.
 	lockObj *Object
 

@@ -264,7 +264,7 @@ func (rt *RT) TouchAll(fr *Frame, mask uint64) bool {
 	}
 	fr.Mode = HeapMode
 	fr.touch = mask
-	fr.join = missing
+	fr.join = int32(missing)
 	fr.waiting = true
 	n.charge(instr.OpFuture, rt.Model.SuspendSave)
 	n.Stats.Suspends++
