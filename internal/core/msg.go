@@ -63,8 +63,9 @@ type Msg struct {
 	// a fresh slice at snapshot time (Checkpointable), so later mutations of
 	// the live state never leak into a checkpoint already on the wire —
 	// batched into one bulk transfer, so protocol cost is bounded by the
-	// shipped state's size plus one message, not by the object count. Acks
-	// carry versions only.
+	// shipped state's size plus one message, not by the object count. An
+	// ack carries the batch it acknowledges and is charged for its refs and
+	// versions only.
 	ckptBatch []ckptItem
 
 	// wireFrom/wireSeq/wireWords identify the message's latest physical
