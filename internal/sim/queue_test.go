@@ -2,7 +2,9 @@ package sim
 
 import (
 	"container/heap"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -497,6 +499,73 @@ func TestCalendarStorageBounded(t *testing.T) {
 			q.push(event{at: at, seq: seq})
 		}
 		check("spike")
+	}
+}
+
+// TestCalendarBurstThenHoldAllocatesNothing: a push burst filed before any
+// pop sizes the buckets from the spacing of its earliest events, re-sampled
+// at the first pop once the burst has grown the population by half, so the
+// hold that follows pops from buckets of calWidthMul events and needs no
+// rebuild; once the queue is warm from earlier cycles of the stream the
+// hold allocates nothing. Popping a bucket of 3 events finds 3, 2 and then
+// 1 in it, 2 on average; a width sampled before the burst's second half
+// reads 3.3. The stream swings between a sparse trickle,
+// 64 events 4096 cycles apart held for four turnovers and drained, and a
+// dense burst: 16,384 events at distinct instants 4 apart, filed in
+// bit-reversed order, so that every prefix the queue doubles at is evenly
+// spaced, then held for one turnover, each event coming back one burst
+// span later, and drained. Keeping the trickle's width through the burst
+// piled thousands of events into a few buckets; the hold's first pops then
+// re-derived the width, and that rebuild dropped the arrays the burst had
+// grown, for the hold to grow new ones in every cycle.
+func TestCalendarBurstThenHoldAllocatesNothing(t *testing.T) {
+	const trickle, gap, burst = 64, 4096, 1 << 14
+	q := newCalendarQueue()
+	var seq uint64
+	push := func(at Time) {
+		seq++
+		q.push(event{at: at, seq: seq})
+	}
+	var ev event
+	drain := func() {
+		for q.len() > 0 {
+			ev = q.pop()
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var held uint64
+	events := 0
+	for cycle := 0; cycle < 4; cycle++ {
+		for i := 1; i <= trickle; i++ {
+			push(ev.at + Time(i*gap))
+		}
+		for i := 0; i < 4*trickle; i++ {
+			ev = q.pop()
+			push(ev.at + trickle*gap)
+		}
+		drain()
+		for i := 0; i < burst; i++ {
+			push(ev.at + 1 + 4*Time(bits.Reverse16(uint16(i))>>2))
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < burst; i++ {
+			q.peekAt()
+			events += len(q.buckets[q.minB])
+			ev = q.pop()
+			push(ev.at + 4*burst)
+		}
+		runtime.ReadMemStats(&after)
+		if cycle > 0 {
+			held += after.Mallocs - before.Mallocs
+		}
+		drain()
+	}
+	if mean := float64(events) / (4 * burst); mean > 2.5 {
+		t.Errorf("mean events per popped bucket in the holds = %.1f, want at most 2.5", mean)
+	}
+	if held != 0 {
+		t.Fatalf("the holds after a burst allocate %d times once warm, want 0", held)
 	}
 }
 
