@@ -138,6 +138,9 @@ func (rt *RT) noteAccess(n *NodeRT, obj *Object, from int, self bool) {
 		return
 	}
 	n.charge(instr.OpMigrate, rt.Model.MigCount)
+	if obj.acc == nil {
+		obj.acc = n.records.alloc()
+	}
 	obj.note(from != n.ID, int32(from))
 	if obj.wantMove >= 0 {
 		return // a move is already pending
