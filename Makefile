@@ -43,15 +43,20 @@ bench-json:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Tables 2-10 at medium scale, diffed against the pinned capture. A
-# change that moves numbers on purpose regenerates the pin with
+# Tables 2-10 at medium scale, then Tables 7, 9 and 10 at full scale, each
+# diffed against its pinned capture. The full-scale runs are the only ones
+# with 32-node migration (Table 7) and 262,144 keys (Table 9). A change that
+# moves numbers on purpose regenerates the pins with
 #
 #	go run ./cmd/tables -scale medium > cmd/tables/testdata/medium.txt
+#	for n in 7 9 10; do go run ./cmd/tables -table $$n -scale full; done > cmd/tables/testdata/full_7_9_10.txt
 #
 # and the diff is the review record. figure9 is pinned the same way.
 tables:
 	$(GO) run ./cmd/tables -scale medium > /tmp/concert_tables_medium.out
 	diff -u cmd/tables/testdata/medium.txt /tmp/concert_tables_medium.out
+	for n in 7 9 10; do $(GO) run ./cmd/tables -table $$n -scale full || exit 1; done > /tmp/concert_tables_full.out
+	diff -u cmd/tables/testdata/full_7_9_10.txt /tmp/concert_tables_full.out
 
 figure9:
 	$(GO) run ./cmd/figure9 > /tmp/concert_figure9.out
