@@ -527,8 +527,9 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	rt.Run()
 	if !crashy {
 		// Under crashes a run may legitimately end with parked requests and
-		// abandoned frames (lost work, measured below); without them the
-		// machine must quiesce cleanly and answer everything.
+		// frames waiting for replies a crash destroyed (lost work, measured
+		// below); without them the machine must quiesce cleanly and answer
+		// everything.
 		if err := rt.CheckQuiescence(); err != nil {
 			panic(err)
 		}

@@ -413,7 +413,7 @@ func (rt *RT) deliverLocal(n *NodeRT, c Cont, val Word, viaStack bool) {
 		n.charge(instr.OpFuture, mdl.FutureFill)
 	}
 	tf := c.Fr
-	if tf.dead {
+	if n.pool.dead(tf) {
 		// The frame crashed with its node. Its result (a reply to a request
 		// the old incarnation issued, or a deferred group-commit release) has
 		// nowhere to land; the application-level retry re-issues the work.

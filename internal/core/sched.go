@@ -63,13 +63,11 @@ func (rt *RT) complete(n *NodeRT, fr *Frame) {
 func (rt *RT) retire(n *NodeRT, fr *Frame) {
 	rt.traceEvent(n, uint8(trace.KComplete), fr.M, 0)
 	if fr.lockObj != nil {
-		next := fr.lockObj.unlock()
-		for next != nil && next.dead {
-			// A crash abandoned this waiter while it was parked on the lock;
-			// pass the lock over it.
-			next = fr.lockObj.unlock()
-		}
-		if next != nil {
+		if next := fr.lockObj.unlock(); next != nil {
+			if n.pool.dead(next) {
+				panic(fmt.Sprintf("core: node %d handed a lock to a frame of %s that a crash killed; a crash empties every lock's waiters, and nothing else queues a dead frame",
+					n.ID, next.M.Name))
+			}
 			// Transfer the lock to the next parked activation and schedule it.
 			next.lockObj = fr.lockObj
 			rt.schedule(n, next)
