@@ -235,6 +235,9 @@ func (n *NodeRT) NewObject(state any) Ref {
 	}
 	n.objects = append(n.objects, obj)
 	n.resident++
+	if n.rt.Cfg.Migration != nil {
+		n.rt.objects++
+	}
 	return ref
 }
 

@@ -29,65 +29,39 @@ package migrate
 
 import "repro/internal/core"
 
-// meanResident returns the machine-wide mean resident-object count.
-func meanResident(rt *core.RT) float64 {
-	total := 0
-	for _, n := range rt.Nodes {
-		total += n.Resident()
-	}
-	return float64(total) / float64(len(rt.Nodes))
-}
-
-// pickDest scans the object's remote-requester sketch for the best
-// admissible destination. A candidate is admissible as a locality move
-// (count reaches the MinTop evidence floor, beats Alpha times the
-// co-resident traffic, and the destination stays within MaxSkew of the mean
-// after the move) or, when the source node is itself more than MaxSkew
-// above the mean, as a drain move (the destination must be below the mean).
-// Candidates are tried heaviest-first; ties break on the lower node id so
-// runs are deterministic.
+// pickDest returns the best admissible destination in the object's
+// remote-requester sketch: the admissible source with the highest count,
+// ties broken on the lower node id so runs are deterministic. A source is
+// admissible as a locality move (count reaches the MinTop evidence floor,
+// beats Alpha times the co-resident traffic, and the destination stays
+// within MaxSkew of the mean after the move) or, when the source node is
+// itself more than MaxSkew above the mean, as a drain move (the destination
+// must be below the mean). Whether one source is admissible never depends
+// on another, so one pass finds what a heaviest-first scan would. The mean
+// is the machine-wide object count over the node count: moves shift
+// objects between nodes but never change their total.
 func pickDest(rt *core.RT, n *core.NodeRT, o *core.Object, minTop int32, alpha float64, maxSkew int) (int, bool) {
 	local, _ := o.Hits()
-	mean := meanResident(rt)
+	mean := float64(rt.ObjectCount()) / float64(len(rt.Nodes))
 	sourceLoaded := float64(n.Resident()) > mean+float64(maxSkew)
-	type cand struct {
-		node  int32
-		count int32
-	}
-	// Sized to the sketch width (8 slots), so the buffer never grows and
-	// stays on the stack: this runs on every access the policy sees.
-	cands := make([]cand, 0, 8)
+	best, bestCount := int32(-1), int32(0)
 	o.ForEachRemoteSource(func(node, count int32) {
-		cands = append(cands, cand{node, count})
-	})
-	for i := 1; i < len(cands); i++ {
-		c := cands[i]
-		j := i - 1
-		for j >= 0 && (cands[j].count < c.count ||
-			(cands[j].count == c.count && cands[j].node > c.node)) {
-			cands[j+1] = cands[j]
-			j--
+		if int(node) == n.ID || count < bestCount || count == bestCount && node > best {
+			return
 		}
-		cands[j+1] = c
-	}
-	for _, c := range cands {
-		if int(c.node) == n.ID {
-			continue
-		}
-		dest := rt.Nodes[c.node]
-		after := float64(dest.Resident() + 1)
-		if c.count >= minTop && float64(c.count) >= alpha*float64(local) &&
-			after <= mean+float64(maxSkew) {
-			return int(c.node), true
-		}
+		after := float64(rt.Nodes[node].Resident() + 1)
 		// Drain moves need no evidence floor: the win comes from evening
-		// load, and the heaviest-first scan still sends the object to the
-		// underloaded node it talks to most.
-		if sourceLoaded && after <= mean {
-			return int(c.node), true
+		// load, and the heaviest admissible source is still the underloaded
+		// node the object talks to most.
+		if count >= minTop && float64(count) >= alpha*float64(local) && after <= mean+float64(maxSkew) ||
+			sourceLoaded && after <= mean {
+			best, bestCount = node, count
 		}
+	})
+	if best < 0 {
+		return 0, false
 	}
-	return 0, false
+	return int(best), true
 }
 
 // decayAll halves every resident object's access counters, machine-wide.
