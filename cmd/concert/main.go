@@ -270,7 +270,7 @@ func tailPartition(w io.Writer, m *obsv.Metrics, mdl *machine.Model) {
 	if len(tail) == 0 {
 		return
 	}
-	sum := obsv.PathReport{ByMethod: map[string]int64{}}
+	var sum obsv.PathReport
 	for _, rq := range tail {
 		pr := m.PartitionRequest(rq)
 		sum.Total += pr.Total

@@ -122,9 +122,6 @@ func TestAccessRecordNil(t *testing.T) {
 	if l, r := o.Hits(); l != 0 || r != 0 {
 		t.Fatalf("Hits = (%d, %d), want (0, 0)", l, r)
 	}
-	if node, score := o.TopRemote(); node != -1 || score != 0 {
-		t.Fatalf("TopRemote = (%d, %d), want (-1, 0)", node, score)
-	}
 	o.ForEachRemoteSource(func(node, count int32) {
 		t.Fatalf("ForEachRemoteSource visited node %d (count %d) of an empty sketch", node, count)
 	})
@@ -177,16 +174,18 @@ func TestAccessRecordSlab(t *testing.T) {
 	if l, r := o.Hits(); l != 1 || r != 2 {
 		t.Fatalf("Hits after three notes = (%d, %d), want (1, 2)", l, r)
 	}
-	if node, score := o.TopRemote(); node != 5 || score != 2 {
-		t.Fatalf("TopRemote after notes = (%d, %d), want (5, 2)", node, score)
+	var srcs [][2]int32
+	o.ForEachRemoteSource(func(node, count int32) { srcs = append(srcs, [2]int32{node, count}) })
+	if len(srcs) != 1 || srcs[0] != [2]int32{5, 2} {
+		t.Fatalf("sketch after notes = %v, want [[5 2]]", srcs)
 	}
 	o.resetEpoch()
 	if l, r := o.Hits(); l != 0 || r != 0 {
 		t.Fatalf("Hits after resetEpoch = (%d, %d), want (0, 0)", l, r)
 	}
-	if node, _ := o.TopRemote(); node != -1 {
-		t.Fatalf("TopRemote after resetEpoch = %d, want -1", node)
-	}
+	o.ForEachRemoteSource(func(node, count int32) {
+		t.Fatalf("sketch after resetEpoch holds node %d (count %d), want it empty", node, count)
+	})
 }
 
 // TestObjectArenaSlabSize: a slab costs its byte budget and no more — the

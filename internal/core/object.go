@@ -133,27 +133,6 @@ func (o *Object) Hits() (local, remote int64) {
 	return o.acc.localHits, o.acc.remoteHits
 }
 
-// TopRemote returns the estimated heaviest remote requester node and its
-// sketch count (a lower bound on that node's remote invocations this
-// residence, up to the sketch's error term). It returns (-1, 0) if no
-// remote requester is currently tracked.
-func (o *Object) TopRemote() (node int32, score int32) {
-	a := o.acc
-	if a == nil {
-		return -1, 0
-	}
-	best := -1
-	for i, c := range a.cnts {
-		if c > 0 && (best < 0 || c > a.cnts[best]) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return a.srcs[best], a.cnts[best]
-}
-
 // ForEachRemoteSource calls fn for every remote requester node currently
 // tracked in the sketch with its count, in slot order (deterministic).
 func (o *Object) ForEachRemoteSource(fn func(node, count int32)) {

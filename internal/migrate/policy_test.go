@@ -174,14 +174,16 @@ func TestNeverPolicyIsFree(t *testing.T) {
 }
 
 // TestThresholdOnAccessAllocatesNothing: the reactive policy is consulted on
-// every access, so its decision — the sketch scan, the candidate sort and
-// the admissibility test — must not allocate.
+// every access, so its decision — the sketch scan and the admissibility
+// test — must not allocate.
 func TestThresholdOnAccessAllocatesNothing(t *testing.T) {
 	rt, ref := hammer(t, migrate.Never{}, 0, 200)
 	n := rt.Nodes[1]
 	obj := n.Object(ref)
-	if top, _ := obj.TopRemote(); top != 0 {
-		t.Fatalf("sketch top requester = %d, want node 0", top)
+	var srcs []int32
+	obj.ForEachRemoteSource(func(node, count int32) { srcs = append(srcs, node) })
+	if len(srcs) != 1 || srcs[0] != 0 {
+		t.Fatalf("sketch requesters = %v, want node 0 alone", srcs)
 	}
 	pol := &migrate.Threshold{MinTop: 1 << 30, Alpha: 1e12, MaxSkew: 8, MaxMoves: 1}
 	allocs := testing.AllocsPerRun(100, func() {

@@ -14,15 +14,14 @@ import (
 // completion time. Total == Compute + Network + FutureWait + LockWait +
 // Idle, exactly — the walker partitions every cycle of the critical span.
 type PathReport struct {
-	Total      int64            // the span walked: the maximum node clock
-	Compute    int64            // busy execution on the path
-	Network    int64            // message flight (send to effective arrival)
-	FutureWait int64            // resume delay after a reply arrived (blocked on futures)
-	LockWait   int64            // quiet gaps entered by parking on an object lock
-	Idle       int64            // quiet gaps with no blocking cause (out of work)
-	Hops       int              // network hops on the path
-	Steps      int              // path segments walked
-	ByMethod   map[string]int64 // compute cycles on the path, per method ("" = runtime)
+	Total      int64 // the span walked: the maximum node clock
+	Compute    int64 // busy execution on the path
+	Network    int64 // message flight (send to effective arrival)
+	FutureWait int64 // resume delay after a reply arrived (blocked on futures)
+	LockWait   int64 // quiet gaps entered by parking on an object lock
+	Idle       int64 // quiet gaps with no blocking cause (out of work)
+	Hops       int   // network hops on the path
+	Steps      int   // path segments walked
 	// Incomplete is set when the walk could not follow an edge (a detail
 	// log was truncated, or an arrival had no matching send); the
 	// unexplained remainder is counted under Idle so the partition still
@@ -34,7 +33,7 @@ type PathReport struct {
 // logs; with Truncated() the result is flagged Incomplete.
 func (m *Metrics) CriticalPath() PathReport {
 	if len(m.nodes) == 0 {
-		return PathReport{ByMethod: map[string]int64{}}
+		return PathReport{}
 	}
 	node := 0
 	for id, np := range m.nodes {
@@ -54,7 +53,7 @@ func (m *Metrics) CriticalPath() PathReport {
 // zero report.
 func (m *Metrics) PartitionWindow(node int, start, end int64) PathReport {
 	if node < 0 || node >= len(m.nodes) || end <= start {
-		return PathReport{ByMethod: map[string]int64{}}
+		return PathReport{}
 	}
 	return m.walk(node, end, start)
 }
@@ -69,7 +68,7 @@ func (m *Metrics) PartitionRequest(rq ReqRecord) PathReport {
 // time floor, partitioning every cycle of [floor, t]. floor 0 is the
 // whole-run critical path.
 func (m *Metrics) walk(node int, t, floor int64) PathReport {
-	r := PathReport{ByMethod: map[string]int64{}, Total: t - floor}
+	r := PathReport{Total: t - floor}
 	if m.truncated {
 		r.Incomplete = true
 		r.Idle = r.Total
@@ -83,13 +82,8 @@ func (m *Metrics) walk(node int, t, floor int64) PathReport {
 		i := sort.Search(len(np.intervals), func(k int) bool { return np.intervals[k].start >= t }) - 1
 		if i >= 0 && np.intervals[i].end >= t {
 			// Busy at t: consume the interval portion inside the window.
-			iv := np.intervals[i]
-			s := iv.start
-			if s < floor {
-				s = floor
-			}
+			s := max(np.intervals[i].start, floor)
 			r.Compute += t - s
-			r.ByMethod[iv.name()] += t - s
 			t = s
 			continue
 		}

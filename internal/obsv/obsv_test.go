@@ -87,13 +87,6 @@ func TestCriticalPathPartition(t *testing.T) {
 	if p.Hops == 0 {
 		t.Fatal("a 16-node SOR critical path should cross the network")
 	}
-	var onPath int64
-	for _, c := range p.ByMethod {
-		onPath += c
-	}
-	if onPath != p.Compute {
-		t.Fatalf("per-method path compute %d != compute %d", onPath, p.Compute)
-	}
 }
 
 // TestCriticalPathLockWait: a quiet gap entered by parking on a held lock
