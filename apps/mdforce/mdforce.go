@@ -681,11 +681,6 @@ func CellAssignment(inst *Instance, spatial bool) []int {
 // cell starting on cellAssign's node, under cfg (whose Migration field
 // selects the policy, nil for static).
 func RunCells(mdl *machine.Model, cfg core.Config, inst *Instance, iters int, cellAssign []int) Result {
-	if cfg.MaxMsgWords == 0 {
-		// Cells are far larger than request messages; size the limit to the
-		// biggest possible migration payload.
-		cfg.MaxMsgWords = 1 << 20
-	}
 	return RunPlan(mdl, cfg, inst, Plan{Owner: inst.Cluster, Home: cellAssign, Iters: iters})
 }
 

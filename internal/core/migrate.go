@@ -255,7 +255,11 @@ func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	loc := int(stub.fwdTo)
 	msg.hops++
 	msg.ver = stub.fwdVer
-	if limit := rt.maxForwardHops(); int(msg.hops) > limit {
+	// A request's stamped residence version strictly increases hop to hop,
+	// so a legitimate chain is at most the number of moves the object made
+	// while the request chased it; 2*nodes+8 leaves slack for requests
+	// chasing a repeatedly-migrating object without tolerating a cycle.
+	if limit := 2*len(rt.Nodes) + 8; int(msg.hops) > limit {
 		// A chain this long means routing state is corrupt (a cycle, or
 		// hints regressing) — under message loss that must be a loud,
 		// traced error, not unbounded ricocheting.
@@ -274,18 +278,6 @@ func (rt *RT) forwardRequest(n *NodeRT, msg *Msg, stub *Object) {
 	if from := int(msg.from); from >= 0 && from != n.ID && from != loc {
 		rt.sendMoved(n, rt.Nodes[from], msg.target, stub.fwdTo, stub.fwdVer)
 	}
-}
-
-// maxForwardHops returns the forwarding-chain bound. A request's stamped
-// residence version strictly increases hop to hop, so a legitimate chain is
-// at most the number of moves the object made while the request chased it;
-// 2*nodes+8 leaves slack for requests chasing a repeatedly-migrating object
-// without tolerating a cycle.
-func (rt *RT) maxForwardHops() int {
-	if rt.Cfg.MaxForwardHops > 0 {
-		return rt.Cfg.MaxForwardHops
-	}
-	return 2*len(rt.Nodes) + 8
 }
 
 // sendMoved transmits a path-compression notice: "as of residence ver, ref

@@ -310,8 +310,6 @@ func TestReturnToFormerHomeParks(t *testing.T) {
 
 	cfg := DefaultHybrid()
 	cfg.Migration = stillPolicy{}
-	// Lifted so a bouncing request shows up as a hop count, not a panic.
-	cfg.MaxForwardHops = 1000
 	if err := p.Resolve(cfg.Interfaces); err != nil {
 		t.Fatal(err)
 	}

@@ -184,21 +184,13 @@ func (rt *RT) sendRequest(from *NodeRT, m *Method, target Ref, args []Word, cont
 	msg.method, msg.target, msg.cont, msg.from = m, target, cont, int32(from.ID)
 	msg.args = append(msg.args, args...)
 	w := msg.words()
-	if max := rt.maxMsgWords(); w > max {
-		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, max))
+	if w > DefaultMaxMsgWords {
+		panic(fmt.Sprintf("core: oversized message for %s: %d words (limit %d)", m.Name, w, DefaultMaxMsgWords))
 	}
 	from.charge(instr.OpMsg, rt.Model.MsgSendBase+rt.Model.MsgPerWord*instr.Instr(w))
 	to := rt.Nodes[dest]
 	lat := rt.Model.NetLatency + rt.Model.NetPerWord*instr.Instr(w)
 	rt.send(from, to, msg, w, lat)
-}
-
-// maxMsgWords returns the configured message-size limit.
-func (rt *RT) maxMsgWords() int {
-	if rt.Cfg.MaxMsgWords > 0 {
-		return rt.Cfg.MaxMsgWords
-	}
-	return DefaultMaxMsgWords
 }
 
 // sendReply transmits a value determining a remote continuation.
@@ -298,7 +290,8 @@ func (rt *RT) handleMsg(n *NodeRT, msg *Msg) {
 	rt.consumed(n, msg)
 }
 
-// DefaultMaxMsgWords bounds a single active message's modeled payload; a
-// real runtime would fragment beyond this, which the model does not —
-// exceeding it is a programming error.
+// DefaultMaxMsgWords bounds a request's modeled payload, where exceeding it
+// is a programming error caught at the sender, and each checkpoint-protocol
+// message, which fragment splits to fit. Migration payloads are charged per
+// word and not bounded.
 const DefaultMaxMsgWords = 4096

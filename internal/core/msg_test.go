@@ -33,11 +33,14 @@ func TestMalformedRequestPanics(t *testing.T) {
 	rt.handleMsg(rt.Node(0), &Msg{kind: msgRequest, target: Ref{}, from: 0})
 }
 
-// TestOversizedMessagePanics: the model does not fragment messages; a request
-// exceeding Config.MaxMsgWords is a programming error caught at the sender.
+// TestOversizedMessagePanics: the model does not fragment requests; one
+// exceeding DefaultMaxMsgWords is a programming error caught at the sender,
+// and one at the limit is sent.
 func TestOversizedMessagePanics(t *testing.T) {
 	p := NewProgram()
-	leaf := &Method{Name: "wideleaf", NArgs: 8}
+	// The header is 4 words, so this many args fill the limit exactly.
+	const fit = DefaultMaxMsgWords - 4
+	leaf := &Method{Name: "wideleaf", NArgs: fit + 1}
 	leaf.Body = func(rt *RT, fr *Frame) Status {
 		rt.Reply(fr, 0)
 		return Done
@@ -46,12 +49,11 @@ func TestOversizedMessagePanics(t *testing.T) {
 	if err := p.Resolve(Interfaces3); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultHybrid()
-	cfg.MaxMsgWords = 8 // header is 4 words, so 8 args cannot fit
 	eng := sim.NewEngine(2)
-	rt := NewRT(eng, machine.CM5(), p, cfg)
+	rt := NewRT(eng, machine.CM5(), p, DefaultHybrid())
 	rt.Node(0).NewObject(nil)
 	target := rt.Node(1).NewObject(nil)
+	rt.sendRequest(rt.Node(0), leaf, target, make([]Word, fit), Cont{}, 1)
 
 	defer func() {
 		r := recover()
@@ -62,8 +64,7 @@ func TestOversizedMessagePanics(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	args := make([]Word, 8)
-	rt.sendRequest(rt.Node(0), leaf, target, args, Cont{}, 1)
+	rt.sendRequest(rt.Node(0), leaf, target, make([]Word, fit+1), Cont{}, 1)
 }
 
 // TestRemoteRequestParksOnLockedObject drives the wrapper lock path end to

@@ -268,8 +268,6 @@ func TestValidateConfig(t *testing.T) {
 		{"nil model", nil, func(c *Config) {}, "machine model is nil"},
 		{"negative migration period", mdl, func(c *Config) { c.MigrationPeriod = -1 }, "MigrationPeriod"},
 		{"period without policy", mdl, func(c *Config) { c.MigrationPeriod = 100 }, "without a Migration policy"},
-		{"negative max words", mdl, func(c *Config) { c.MaxMsgWords = -1 }, "MaxMsgWords"},
-		{"negative hop bound", mdl, func(c *Config) { c.MaxForwardHops = -2 }, "MaxForwardHops"},
 		{"drop probability out of range", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 1.5}; c.Reliable = true }, "out of range"},
 		{"lossy without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{Drop: 0.01} }, "Reliable is off"},
 		{"crashes without reliable", mdl, func(c *Config) { c.Faults = &sim.Faults{CrashEvery: 1000, CrashLen: 100} }, "Reliable is off"},
@@ -311,16 +309,17 @@ func TestValidateConfig(t *testing.T) {
 	}
 }
 
-// TestForwardHopBound: a request that exceeds the forwarding-chain bound
-// must fail loudly with a traced KHopLimit event, not ricochet forever.
+// TestForwardHopBound: a request that exceeds the forwarding-chain bound,
+// 2*nodes+8 hops, must fail loudly with a traced KHopLimit event, not
+// ricochet forever; the hop that reaches the bound is still forwarded.
 func TestForwardHopBound(t *testing.T) {
 	p := NewProgram()
 	buildFib(p)
 	if err := p.Resolve(Interfaces3); err != nil {
 		t.Fatal(err)
 	}
+	const bound = 2*2 + 8 // two nodes
 	cfg := DefaultHybrid()
-	cfg.MaxForwardHops = 4
 	buf := trace.NewBuffer(64)
 	cfg.Tracer = buf
 	eng := sim.NewEngine(2)
@@ -328,6 +327,10 @@ func TestForwardHopBound(t *testing.T) {
 	ref := rt.Node(0).NewObject(&cellState{})
 	stub := &Object{Ref: ref, away: true, fwdTo: 1, fwdVer: 1, wantMove: -1}
 	rt.Node(0).installEntry(ref, stub)
+	rt.forwardRequest(rt.Node(0), &Msg{kind: msgRequest, target: ref, from: 1, hops: bound - 1}, stub)
+	if hops := rt.Node(0).Stats.ForwardHops; hops != 1 {
+		t.Fatalf("ForwardHops = %d after a hop to the bound, want 1", hops)
+	}
 
 	defer func() {
 		r := recover()
@@ -341,8 +344,7 @@ func TestForwardHopBound(t *testing.T) {
 			t.Fatalf("KHopLimit count = %d, want 1", buf.Count(trace.KHopLimit))
 		}
 	}()
-	msg := &Msg{kind: msgRequest, target: ref, from: 1, hops: 4}
-	rt.forwardRequest(rt.Node(0), msg, stub)
+	rt.forwardRequest(rt.Node(0), &Msg{kind: msgRequest, target: ref, from: 1, hops: bound}, stub)
 }
 
 // TestCrashRejoinWithPendingFrames crashes and rejoins one endpoint of a

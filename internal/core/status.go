@@ -131,8 +131,6 @@ type Config struct {
 	// MigrationPeriod is the virtual-time interval between policy Tick
 	// calls (periodic-rebalance policies). Zero disables the heartbeat.
 	MigrationPeriod Instr
-	// MaxMsgWords overrides DefaultMaxMsgWords when positive.
-	MaxMsgWords int
 
 	// Network, if non-nil, is a factory for a topology/contention model
 	// (see machine.Network, e.g. machine.NewFatTree): it is called once
@@ -165,10 +163,6 @@ type Config struct {
 	// backoff until acked, and duplicate-suppressed at the receiver. Off by
 	// default: with a fault-free network the layer only adds overhead.
 	Reliable bool
-	// MaxForwardHops bounds a request's forwarding chain (stale-hint
-	// re-routes under migration); zero derives 2*nodes+8. Exceeding the
-	// bound is a traced runtime error, not silent unbounded growth.
-	MaxForwardHops int
 
 	// CheckDecls arms the runtime declaration sanitizer: the dynamic
 	// backstop behind cmd/concertvet's static pass, for what static

@@ -21,12 +21,6 @@ func ValidateConfig(mdl *machine.Model, cfg Config) error {
 	if cfg.MigrationPeriod > 0 && cfg.Migration == nil {
 		return fmt.Errorf("core: MigrationPeriod = %d set without a Migration policy", cfg.MigrationPeriod)
 	}
-	if cfg.MaxMsgWords < 0 {
-		return fmt.Errorf("core: MaxMsgWords = %d is negative; use 0 for the default", cfg.MaxMsgWords)
-	}
-	if cfg.MaxForwardHops < 0 {
-		return fmt.Errorf("core: MaxForwardHops = %d is negative; use 0 for the default", cfg.MaxForwardHops)
-	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return err
 	}
