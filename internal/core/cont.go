@@ -15,7 +15,7 @@ type Cont struct {
 	// root sink or a discarded result.
 	Fr *Frame
 	// Slot is the future slot within Fr, or JoinDiscard.
-	Slot int
+	Slot int32
 	// Node is the node where Fr lives — used to decide whether determining
 	// the future requires a reply message.
 	Node int32

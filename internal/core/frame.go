@@ -19,22 +19,17 @@ const (
 
 // JoinDiscard is the future-slot value meaning "count the reply toward the
 // frame's join counter but discard the value" — the calling convention for
-// wide joins (parallel loops, barriers) where per-value cells would not fit
-// a touch mask.
+// wide joins (parallel loops, barriers) where per-value futures would not
+// fit a touch mask.
 const JoinDiscard = -1
 
-// Cell is a future: a single-assignment value slot inside an activation
-// frame. The paper stores futures at fixed offsets in heap contexts; here
-// they are fixed slots of the frame.
-type Cell struct {
-	Val  Word
-	Full bool
-}
-
 // Frame is one activation: the unified stack-frame / heap-context record.
-// At 184 bytes it takes the 192-byte allocator size class: the join
-// counters are int32 and the one-byte fields share one word, so a frame
-// does not round up to the 224-byte class (TestFrameLayout).
+// As in the paper's heap context, arguments, locals and futures sit at fixed
+// offsets in one record: the word slab holds M.NArgs argument words, then
+// M.NLocals locals, then M.NFutures future values, and bit i of full marks
+// future i determined. The frame is 128 bytes, two cache lines and the
+// allocator's 128-byte size class (TestFrameLayout), and the slab is its only
+// other allocation; a recycled frame keeps its slab.
 type Frame struct {
 	M    *Method
 	Node *NodeRT
@@ -43,22 +38,26 @@ type Frame struct {
 	// PC is the resume point within the body.
 	PC int
 
-	// Args and Locals are the compiler-managed state words.
-	Args   []Word
-	Locals []Word
-	// fut holds the frame's future cells.
-	fut []Cell
+	// words is the slab of argument, local and future words; full is the
+	// fill mask of its futures.
+	words []Word
+	full  uint64
 
 	// RetCont is the continuation for this activation's result — the fixed
 	// "return continuation" location of the paper's heap contexts.
 	RetCont Cont
 
-	// touch and join implement touch sets: touch is the slot mask being
-	// waited on, joinOut counts outstanding JoinDiscard replies, join is
-	// the number of fills still needed before the frame wakes.
+	// touch is the slot mask a frame suspended in TouchAll waits on; 0
+	// while it waits in TouchJoin. The frame wakes when a fill of a touched
+	// slot leaves touch&^full empty, so the count of fills still needed is
+	// the popcount of touch&^full and is not stored. joinOut counts
+	// outstanding JoinDiscard replies.
 	touch   uint64
-	join    int32
 	joinOut int32
+	// gen is the node's frame generation at checkout. A fail-stop crash
+	// bumps the generation, so every frame checked out before it is dead
+	// (see framePool.dead).
+	gen uint32
 
 	// Mode is the current execution mode (see Mode).
 	Mode Mode
@@ -76,10 +75,6 @@ type Frame struct {
 	// ack) instead of delivering it; stack callers must then wait as if the
 	// callee had forwarded (see runSeq).
 	replyDeferred bool
-	// gen is the node's frame generation at checkout. A fail-stop crash
-	// bumps the generation, so every frame checked out before it is dead
-	// (see framePool.dead).
-	gen uint32
 
 	// lockObj is the object whose lock this activation holds, if any.
 	lockObj *Object
@@ -89,25 +84,38 @@ type Frame struct {
 }
 
 // Arg returns argument word i.
-func (fr *Frame) Arg(i int) Word { return fr.Args[i] }
+func (fr *Frame) Arg(i int) Word { return fr.words[:fr.M.NArgs][i] }
 
 // Local returns local word i.
-func (fr *Frame) Local(i int) Word { return fr.Locals[i] }
+func (fr *Frame) Local(i int) Word { return fr.locals()[i] }
 
 // SetLocal stores local word i.
-func (fr *Frame) SetLocal(i int, w Word) { fr.Locals[i] = w }
+func (fr *Frame) SetLocal(i int, w Word) { fr.locals()[i] = w }
+
+// locals and futs are the slab's local and future regions; indexing them
+// bounds-checks an access against its own region.
+func (fr *Frame) locals() []Word {
+	a := fr.M.NArgs
+	return fr.words[a : a+fr.M.NLocals]
+}
+
+func (fr *Frame) futs() []Word { return fr.words[fr.M.NArgs+fr.M.NLocals:] }
 
 // Fut returns the value of future slot i; it panics if the slot is empty —
 // bodies must touch before reading.
 func (fr *Frame) Fut(i int) Word {
-	if !fr.fut[i].Full {
+	v := fr.futs()[i]
+	if fr.full&(1<<uint(i)) == 0 {
 		panic(fmt.Sprintf("core: %s read empty future slot %d", fr.M.Name, i))
 	}
-	return fr.fut[i].Val
+	return v
 }
 
 // FutFull reports whether future slot i has been determined.
-func (fr *Frame) FutFull(i int) bool { return fr.fut[i].Full }
+func (fr *Frame) FutFull(i int) bool {
+	_ = fr.futs()[i]
+	return fr.full&(1<<uint(i)) != 0
+}
 
 // landed reports whether the reply an invocation directed to slot has been
 // delivered: the future is full or, for JoinDiscard, no join reply is
@@ -116,7 +124,21 @@ func (fr *Frame) landed(slot int) bool {
 	if slot == JoinDiscard {
 		return fr.joinOut == 0
 	}
-	return fr.fut[slot].Full
+	return fr.FutFull(slot)
+}
+
+// fill determines future slot i with val and reports whether that wakes the
+// frame: it waits on a touch set holding i, and i was the set's last empty
+// slot. Determining a slot twice panics.
+func (fr *Frame) fill(i int, val Word) bool {
+	fut := &fr.futs()[i]
+	bit := uint64(1) << uint(i)
+	if fr.full&bit != 0 {
+		panic(fmt.Sprintf("core: future %s[%d] determined twice", fr.M.Name, i))
+	}
+	*fut = val
+	fr.full |= bit
+	return fr.waiting && fr.touch&bit != 0 && fr.touch&^fr.full == 0
 }
 
 // pending is the CallStatus of an invocation whose reply has not landed:
@@ -131,10 +153,13 @@ func (fr *Frame) pending() CallStatus {
 // ClearFut empties future slot i so it can be reused (e.g. across loop
 // iterations). Clearing while the frame is waiting on the slot panics.
 func (fr *Frame) ClearFut(i int) {
-	if fr.waiting && fr.touch&(1<<uint(i)) != 0 {
+	fut := &fr.futs()[i]
+	bit := uint64(1) << uint(i)
+	if fr.waiting && fr.touch&bit != 0 {
 		panic("core: ClearFut on a slot being waited on")
 	}
-	fr.fut[i] = Cell{}
+	*fut = 0
+	fr.full &^= bit
 }
 
 // Promoted reports whether the frame has become a heap context.
@@ -166,7 +191,10 @@ func MaskRange(lo, hi int) uint64 {
 
 // framePool recycles frames per node. Checkout cost is charged according to
 // mode: stack frames are (nearly) free, matching stack allocation; heap
-// promotion charges context-allocation costs.
+// promotion charges context-allocation costs. A released frame keeps its
+// word slab, and a checkout reuses it whenever it holds the method's
+// NArgs+NLocals+NFutures words, so once a node's pool is warm a checkout
+// allocates nothing.
 type framePool struct {
 	free *Frame
 	// Live counts checked-out frames; at quiescence it must be zero
@@ -196,7 +224,6 @@ func (p *framePool) checkout(m *Method, node *NodeRT, self Ref, args []Word) *Fr
 	fr.RetCont = Cont{}
 	fr.CInfo = CallerInfo{}
 	fr.touch = 0
-	fr.join = 0
 	fr.joinOut = 0
 	fr.waiting = false
 	fr.promoted = false
@@ -206,25 +233,12 @@ func (p *framePool) checkout(m *Method, node *NodeRT, self Ref, args []Word) *Fr
 	fr.lockObj = nil
 	fr.next = nil
 
-	fr.Args = resizeWords(fr.Args, m.NArgs)
-	// Zero the tail beyond the supplied args: a recycled frame must not leak
-	// stale argument words from a prior activation when a caller passes
-	// fewer args than the method declares.
-	for i := copy(fr.Args, args); i < len(fr.Args); i++ {
-		fr.Args[i] = 0
-	}
-	fr.Locals = resizeWords(fr.Locals, m.NLocals)
-	for i := range fr.Locals {
-		fr.Locals[i] = 0
-	}
-	if cap(fr.fut) < m.NFutures {
-		fr.fut = make([]Cell, m.NFutures)
-	} else {
-		fr.fut = fr.fut[:m.NFutures]
-		for i := range fr.fut {
-			fr.fut[i] = Cell{}
-		}
-	}
+	// Every word past the supplied args starts zero: a recycled frame must
+	// not leak a prior activation's words, even when a caller passes fewer
+	// args than the method declares.
+	fr.words = resizeWords(fr.words, m.NArgs+m.NLocals+m.NFutures)
+	clear(fr.words[copy(fr.words[:m.NArgs], args):])
+	fr.full = 0
 	return fr
 }
 

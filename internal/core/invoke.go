@@ -61,7 +61,7 @@ func (rt *RT) invoke(fr *Frame, m *Method, target Ref, slot int, args []Word, fw
 		n.charge(instr.OpCheck, mdl.NameTranslate+mdl.LocalityCheck)
 	}
 	n.Stats.Invokes++
-	cont := Cont{Fr: fr, Slot: slot, Node: int32(n.ID)}
+	cont := Cont{Fr: fr, Slot: int32(slot), Node: int32(n.ID)}
 	if fwd {
 		cont = fr.RetCont
 	}
@@ -194,9 +194,10 @@ func (rt *RT) Unwind(fr *Frame) Status {
 }
 
 // promote turns a stack frame into a heap context, charging the fallback
-// cost: context allocation plus saving the live words.
+// cost: context allocation plus saving the live words, its arguments and
+// locals (future slots are filled in place and not saved).
 func (rt *RT) promote(n *NodeRT, fr *Frame) {
-	live := len(fr.Args) + len(fr.Locals)
+	live := fr.M.NArgs + fr.M.NLocals
 	n.charge(instr.OpFallback,
 		rt.Model.CtxAlloc+rt.Model.FallbackBase+rt.Model.FallbackPerWord*instr.Instr(live))
 	fr.promoted = true
@@ -246,12 +247,10 @@ func (rt *RT) TouchAll(fr *Frame, mask uint64) bool {
 	n := fr.Node
 	cnt := bits.OnesCount64(mask)
 	n.charge(instr.OpFuture, rt.Model.TouchBase+rt.Model.TouchPerFuture*instr.Instr(cnt))
-	missing := 0
-	for rem := mask; rem != 0; rem &= rem - 1 {
-		if !fr.fut[bits.TrailingZeros64(rem)].Full {
-			missing++
-		}
+	if mask>>uint(fr.M.NFutures) != 0 {
+		panic(fmt.Sprintf("core: %s touched mask %#x beyond its %d future slots", fr.M.Name, mask, fr.M.NFutures))
 	}
+	missing := bits.OnesCount64(mask &^ fr.full)
 	if missing == 0 {
 		return true
 	}
@@ -264,7 +263,6 @@ func (rt *RT) TouchAll(fr *Frame, mask uint64) bool {
 	}
 	fr.Mode = HeapMode
 	fr.touch = mask
-	fr.join = int32(missing)
 	fr.waiting = true
 	n.charge(instr.OpFuture, rt.Model.SuspendSave)
 	n.Stats.Suspends++
@@ -429,17 +427,8 @@ func (rt *RT) deliverLocal(n *NodeRT, c Cont, val Word, viaStack bool) {
 		}
 		return
 	}
-	cell := &tf.fut[c.Slot]
-	if cell.Full {
-		panic(fmt.Sprintf("core: future %s[%d] determined twice", tf.M.Name, c.Slot))
-	}
-	cell.Val = val
-	cell.Full = true
-	if tf.waiting && tf.touch&(1<<uint(c.Slot)) != 0 {
-		tf.join--
-		if tf.join == 0 {
-			rt.wakeFrame(n, tf)
-		}
+	if tf.fill(int(c.Slot), val) {
+		rt.wakeFrame(n, tf)
 	}
 }
 
