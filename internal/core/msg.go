@@ -37,7 +37,6 @@ const (
 // and transport costs are charged per the machine model and remote state is
 // only ever touched by its owner.
 type Msg struct {
-	kind   msgKind
 	method *Method
 	target Ref
 	args   []Word
@@ -77,6 +76,10 @@ type Msg struct {
 	wireFrom  int32
 	wireSeq   uint32
 	wireWords int32
+
+	// kind sits in the padding after wireWords, which keeps Msg in the
+	// 144-byte size class (TestMsgLayout).
+	kind msgKind
 
 	next *Msg
 }
