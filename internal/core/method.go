@@ -25,7 +25,8 @@ type Method struct {
 	// Body is the general version, used for both stack and heap execution.
 	Body BodyFunc
 
-	// NArgs, NLocals and NFutures size the activation frame.
+	// NArgs, NLocals and NFutures size the activation frame. None may be
+	// negative, and NFutures is at most 64 (checked by Resolve).
 	NArgs    int
 	NLocals  int
 	NFutures int
@@ -63,6 +64,10 @@ type Method struct {
 // MayBlock reports the transitive may-block property (valid after Resolve).
 func (m *Method) MayBlock() bool { return m.resolvedMayBlock }
 
+// maxFutures is the most future slots a method may declare: a frame's fill
+// mask and its touch masks are 64-bit words.
+const maxFutures = 64
+
 // Program is the registry of methods — the unit the "compiler" operates on.
 type Program struct {
 	methods  []*Method
@@ -85,12 +90,17 @@ func (p *Program) Add(m *Method) *Method {
 // Methods returns the registered methods.
 func (p *Program) Methods() []*Method { return p.methods }
 
-// Resolve runs the interprocedural schema analysis (internal/analysis) and
-// fixes each method's Required and Emitted schema under the given interface
-// set. It must be called once, before execution.
+// Resolve checks each method's frame shape, runs the interprocedural schema
+// analysis (internal/analysis) and fixes each method's Required and Emitted
+// schema under the given interface set. It must be called once, before
+// execution.
 func (p *Program) Resolve(interfaces SchemaSet) error {
 	infos := make([]analysis.MethodInfo, len(p.methods))
 	for i, m := range p.methods {
+		if m.NArgs < 0 || m.NLocals < 0 || m.NFutures < 0 || m.NFutures > maxFutures {
+			return fmt.Errorf("core: method %q declares NArgs=%d NLocals=%d NFutures=%d; none may be negative and NFutures is at most %d",
+				m.Name, m.NArgs, m.NLocals, m.NFutures, maxFutures)
+		}
 		info := analysis.MethodInfo{
 			Name:          m.Name,
 			MayBlockLocal: m.MayBlockLocal || m.Locks,
