@@ -70,7 +70,15 @@ type Gen struct {
 	center int
 	flips  []resolvedFlip
 	next   int // index of the next unapplied flip
+	// keys is the unused rest of the block Next carves each request's Keys
+	// from.
+	keys []int
 }
+
+// keyBlock is how many requests' Keys one allocation holds. Callers keep
+// requests (serve.Run holds every one to the end of the run), so a block
+// lives as long as any request carved from it.
+const keyBlock = 4096
 
 type resolvedFlip struct {
 	at    int64
@@ -138,7 +146,14 @@ func (g *Gen) Next() (Req, bool) {
 	}
 	f := g.rng.intn(g.p.Frontends)
 	base := g.center + f*(g.p.Keys/g.p.Frontends)
-	keys := make([]int, g.p.OpsPerReq)
+	ops := g.p.OpsPerReq
+	if len(g.keys) < ops {
+		g.keys = make([]int, keyBlock*ops)
+	}
+	// The capacity ends at the request's own keys, so an append to one
+	// request's Keys reallocates instead of overwriting the next request's.
+	keys := g.keys[:ops:ops]
+	g.keys = g.keys[ops:]
 	var rmw uint64
 	for i := range keys {
 		keys[i] = (base + g.zipf.sample(g.rng.float())) % g.p.Keys

@@ -2,6 +2,7 @@ package load
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -217,5 +218,39 @@ func TestBadParamsPanic(t *testing.T) {
 			}()
 			New(p)
 		}()
+	}
+}
+
+// TestNextKeysFromBlock: Next carves each request's Keys from a block it
+// shares with thousands of other requests, so pulling requests allocates
+// fewer than 0.01 times per request, amortized. Keys is capped at its
+// length, so appending to one request's keys leaves the next request's
+// untouched.
+func TestNextKeysFromBlock(t *testing.T) {
+	p := testParams()
+	p.Horizon = 1 << 40
+	g := New(p)
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, ok := g.Next(); !ok {
+			t.Fatalf("stream ended after %d requests", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.01 {
+		t.Fatalf("%.4f allocations per Next, want fewer than 0.01", per)
+	}
+
+	a, _ := g.Next()
+	b, _ := g.Next()
+	if cap(a.Keys) != len(a.Keys) {
+		t.Fatalf("Keys has capacity %d beyond its %d keys", cap(a.Keys), len(a.Keys))
+	}
+	want := append([]int(nil), b.Keys...)
+	_ = append(a.Keys, -1)
+	if !reflect.DeepEqual(b.Keys, want) {
+		t.Fatalf("appending to one request's keys changed the next request's: %v, want %v", b.Keys, want)
 	}
 }
