@@ -101,12 +101,14 @@ serve:
 	$(GO) run ./cmd/tables -table 9 -scale small
 
 # Crash-recovery smoke: one verified serving run under fail-stop crashes
-# with checkpointing and retries (exactly-once RMWs end to end), the crash
-# determinism/exactly-once tests, then the small Table 10 availability grid
-# (its asserts require zero lost requests and >= 99% SLO attainment with
-# checkpoint+retry at the lower crash rate).
+# with checkpointing and retries (exactly-once RMWs end to end), diffed
+# against cmd/concert/testdata/crash_recovery.txt as `make scale` does, the
+# crash determinism/exactly-once tests, then the small Table 10 availability
+# grid (its asserts require zero lost requests and >= 99% SLO attainment
+# with checkpoint+retry at the lower crash rate).
 crash-recovery:
-	$(GO) run ./cmd/concert -app serve -nodes 8 -size 1024 -rate 33000 -crash-every 12121 -crash-len 242 -ckpt-period 152 -retries 8 -verify
+	$(GO) run ./cmd/concert -app serve -nodes 8 -size 1024 -rate 33000 -crash-every 12121 -crash-len 242 -ckpt-period 152 -retries 8 -verify > /tmp/concert_crash_recovery.out
+	diff -u cmd/concert/testdata/crash_recovery.txt /tmp/concert_crash_recovery.out
 	$(GO) test -race -count=1 ./apps/serve ./internal/sim ./internal/core -run 'Crash|Ckpt|Checkpoint|Recover'
 	$(GO) run ./cmd/tables -table 10 -scale small
 
