@@ -25,7 +25,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/core"
@@ -100,8 +99,8 @@ func (kv *KV) RestoreWords(w []core.Word) {
 }
 
 // Front is a per-node frontend: the arrival point for requests. Its only
-// state is the shared workload harness, which owns the request log and the
-// latency accounting.
+// state is the shared workload harness, which owns the request window and
+// the latency accounting.
 type Front struct {
 	app *App
 }
@@ -115,20 +114,18 @@ func (f *Front) CheckpointWords() []core.Word { return nil }
 // RestoreWords is a no-op: the harness pointer never left.
 func (f *Front) RestoreWords([]core.Word) {}
 
-// App is the run-wide harness shared by every frontend: the generated
-// requests, the key->object table, and the completion accounting. Method
-// bodies reach it through their frontend's state, never through the
-// runtime config, so bodies stay analyzable.
+// App is the run-wide harness shared by every frontend: the window of
+// requests that can still run, the key->object table, and the completion
+// accounting. Method bodies reach it through their frontend's state, never
+// through the runtime config, so bodies stay analyzable.
 type App struct {
-	reqs []load.Req
-	refs []core.Ref
-
-	// finished[id] dedups hedged completions: with retries a request may be
-	// in flight twice, and only the first completion counts (latency is
-	// always measured from the original arrival). dedup selects the
-	// deduplicating RMW variant for the request bodies.
-	finished []bool
-	dedup    bool
+	// win also dedups hedged completions: with retries a request may be in
+	// flight twice, and only the first completion counts (latency is always
+	// measured from the original arrival). dedup selects the deduplicating
+	// RMW variant for the request bodies.
+	win   window
+	refs  []core.Ref
+	dedup bool
 
 	hist   stats.LatencyHist
 	slo    int64
@@ -137,31 +134,33 @@ type App struct {
 	tracer core.Tracer
 }
 
-// complete stamps one request finished on its frontend's clock. Completions
-// of hedged duplicate attempts are ignored — the first attempt to finish
-// wins. The whole body — the dedup check included — runs at the engine's
-// ordered-commit point: every field it touches (finished, hist, sloOK, done,
-// the trace ring) is shared across frontends, and under the parallel engine
-// frontends on different shards complete requests concurrently. The clock
-// stamp is captured here, at event time, so the deferred commit measures the
-// same latency the serial engine would.
-func (a *App) complete(n *core.NodeRT, rq *load.Req) {
+// complete ends one attempt of request id, which arrived at at, on its
+// frontend's clock. Only the request's first completion counts; those of
+// hedged duplicate attempts are ignored. The whole bookkeeping runs at the
+// engine's ordered-commit point: every field it touches (the window, hist,
+// sloOK, done, the trace ring) is shared across frontends, and under the
+// parallel engine frontends on different shards complete requests
+// concurrently. The clock stamp is captured here, at event time, so the
+// deferred commit measures the same latency the serial engine would.
+func (a *App) complete(n *core.NodeRT, id int, at int64) {
 	now := int64(n.Sim.Clock)
 	node := n.ID
-	n.Sim.Ordered(func() {
-		if a.finished[rq.ID] {
-			return
-		}
-		a.finished[rq.ID] = true
-		a.hist.Add(now - rq.At)
-		if now-rq.At <= a.slo {
-			a.sloOK++
-		}
-		a.done++
-		if a.tracer != nil {
-			a.tracer.Record(node, instr.Instr(now), uint8(trace.KReqDone), "serve.request", int64(rq.ID))
-		}
-	})
+	n.Sim.Ordered(func() { a.finish(node, id, at, now) })
+}
+
+// finish is complete's bookkeeping.
+func (a *App) finish(node, id int, at, now int64) {
+	if !a.win.end(id) {
+		return
+	}
+	a.hist.Add(now - at)
+	if now-at <= a.slo {
+		a.sloOK++
+	}
+	a.done++
+	if a.tracer != nil {
+		a.tracer.Record(node, instr.Instr(now), uint8(trace.KReqDone), "serve.request", int64(id))
+	}
 }
 
 // Methods bundles the serving program.
@@ -233,13 +232,16 @@ func Build(readWork, rmwWork instr.Instr) *Methods {
 	p.Add(m.rmwd)
 
 	// request(id): fan the request's keyed operations out, join the
-	// replies, stamp the request complete.
+	// replies, stamp the request complete. The body looks its request up
+	// in the window on every resume, since the slot may have moved, and
+	// complete is its last use: after it, the request may be gone.
 	m.Request = &core.Method{Name: "serve.request", NArgs: 1, NLocals: 1,
 		MayBlockLocal: true, Calls: []*core.Method{m.read, m.rmw, m.rmwd}}
 	m.Request.Body = func(rt *core.RT, fr *core.Frame) core.Status {
 		f := fr.Node.State(fr.Self).(*Front)
 		a := f.app
-		rq := &a.reqs[fr.Arg(0).Int()]
+		id := int(fr.Arg(0).Int())
+		rq := a.win.req(id)
 		switch fr.PC {
 		case 0:
 			fr.PC = 1
@@ -274,7 +276,7 @@ func Build(readWork, rmwWork instr.Instr) *Methods {
 			if !rt.TouchJoin(fr) {
 				return core.Unwound
 			}
-			a.complete(fr.Node, rq)
+			a.complete(fr.Node, id, rq.At)
 			rt.Reply(fr, 0)
 			return core.Done
 		}
@@ -388,6 +390,12 @@ type Result struct {
 // executed exactly once — the check that matters under a lossy network with
 // the reliable layer on.
 func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
+	return run(mdl, cfg, p, new(App))
+}
+
+// run is Run on a harness the caller supplies, so that tests can read it
+// during and after the run.
+func run(mdl *machine.Model, cfg core.Config, p Params, app *App) Result {
 	if p.Nodes <= 0 || p.Keys <= 0 || p.Keys%p.Nodes != 0 {
 		panic(fmt.Sprintf("serve: Keys=%d must be a positive multiple of Nodes=%d", p.Keys, p.Nodes))
 	}
@@ -407,7 +415,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	// operations, and checkpointing needs mutations declared Durable to be
 	// captured (and their replies group-committed). Without either, the
 	// plain variant keeps the Table 9 workload byte-identical.
-	app := &App{slo: p.SLO, tracer: cfg.Tracer,
+	*app = App{slo: p.SLO, tracer: cfg.Tracer,
 		dedup: p.RetryAfter > 0 || cfg.CheckpointPeriod > 0}
 	kvs := make([]*KV, p.Keys)
 	app.refs = make([]core.Ref, p.Keys)
@@ -424,40 +432,35 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	// fresh root on the frontend (open loop: the start is unconditional, no
 	// matter how far behind the frontend is) and schedules the next arrival.
 	// Chaining keeps the event heap at one pending arrival instead of the
-	// whole trace.
+	// whole trace, as the window keeps only the requests that can still run.
 	gen := load.New(lp)
 	crashy := cfg.Faults.Crashy()
 	var ops, rmws int64
-	// The request table is sized once for the expected arrival count (a
-	// Poisson stream of Horizon/MeanGap, plus four standard deviations), so
-	// it does not regrow by append through a long run.
-	expect := float64(lp.Horizon) / lp.MeanGap
-	want := int(expect + 4*math.Sqrt(expect) + 16)
-	app.reqs = make([]load.Req, 0, want)
-	app.finished = make([]bool, 0, want)
 
-	// launch starts one attempt of a request as a fresh root, unless its
-	// frontend is currently unavailable (node down, or the Front object
-	// crash-lost and not yet restored) — starting there would target state
-	// that does not exist. When recovery is configured the attempt is
-	// re-probed shortly (the arrival waits out the outage, as a load
-	// balancer's accept queue would); without recovery the frontend never
-	// comes back and the attempt is simply dropped.
+	// launch counts one attempt of request id into the window and starts it
+	// as a fresh root, unless its frontend is currently unavailable (node
+	// down, or the Front object crash-lost and not yet restored) — starting
+	// there would target state that does not exist. When recovery is
+	// configured the attempt is re-probed shortly (the arrival waits out the
+	// outage, as a load balancer's accept queue would); without recovery the
+	// frontend never comes back and the attempt is simply dropped.
 	const probeEvery = 2_000
-	var launch func(rq *load.Req)
-	launch = func(rq *load.Req) {
-		fn := rt.Node(rq.Front)
-		if fn.Sim.Down() || fn.ObjectLost(fronts[rq.Front]) {
-			if cfg.CheckpointPeriod > 0 && !app.finished[rq.ID] {
+	var launch func(id int)
+	launch = func(id int) {
+		front := app.win.req(id).Front
+		fn := rt.Node(front)
+		if fn.Sim.Down() || fn.ObjectLost(fronts[front]) {
+			if cfg.CheckpointPeriod > 0 && !app.win.finished(id) {
 				eng.Schedule(eng.Now()+probeEvery, func() {
-					if !app.finished[rq.ID] {
-						launch(rq)
+					if !app.win.finished(id) {
+						launch(id)
 					}
 				})
 			}
 			return
 		}
-		rt.StartOn(rq.Front, m.Request, fronts[rq.Front], nil, core.IntW(int64(rq.ID)))
+		app.win.start(id)
+		rt.StartOn(front, m.Request, fronts[front], nil, core.IntW(int64(id)))
 	}
 	// retry fires retry try of request rqID, which waited wait, and arms
 	// the next one. A retry is counted and traced on the frontend, then
@@ -467,16 +470,16 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	// exactly-once.
 	var retry func(rqID, try int, wait instr.Instr)
 	retry = func(rqID, try int, wait instr.Instr) {
-		if app.finished[rqID] {
+		if app.win.finished(rqID) {
 			return
 		}
-		rq := &app.reqs[rqID]
-		rt.Node(rq.Front).Stats.ReqRetries++
+		front := app.win.req(rqID).Front
+		rt.Node(front).Stats.ReqRetries++
 		if app.tracer != nil {
-			app.tracer.Record(rq.Front, eng.Now(), uint8(trace.KReqRetry),
-				"serve.request", int64(rq.ID))
+			app.tracer.Record(front, eng.Now(), uint8(trace.KReqRetry),
+				"serve.request", int64(rqID))
 		}
-		launch(rq)
+		launch(rqID)
 		if try+1 < p.MaxRetries {
 			next := wait * 2
 			if cap := p.RetryAfter * 8; next > cap {
@@ -499,13 +502,13 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	// inject filed last.
 	var inject func(rq load.Req)
 	arrive := func() {
-		id := len(app.reqs) - 1
-		rq := &app.reqs[id]
+		id := app.win.next - 1
 		if app.tracer != nil {
+			rq := app.win.req(id)
 			app.tracer.Record(rq.Front, instr.Instr(rq.At), uint8(trace.KReqArrive),
-				"serve.request", int64(rq.ID))
+				"serve.request", int64(id))
 		}
-		launch(rq)
+		launch(id)
 		if p.RetryAfter > 0 && p.MaxRetries > 0 {
 			eng.Schedule(eng.Now()+p.RetryAfter, firstRetry)
 		}
@@ -514,8 +517,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		}
 	}
 	inject = func(rq load.Req) {
-		app.reqs = append(app.reqs, rq)
-		app.finished = append(app.finished, false)
+		app.win.add(rq)
 		ops += int64(len(rq.Keys))
 		rmws += int64(bits.OnesCount64(rq.RMW))
 		eng.Schedule(instr.Instr(rq.At), arrive)
@@ -533,8 +535,8 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		if err := rt.CheckQuiescence(); err != nil {
 			panic(err)
 		}
-		if app.done != int64(len(app.reqs)) {
-			panic(fmt.Sprintf("serve: %d of %d requests completed", app.done, len(app.reqs)))
+		if app.done != int64(app.win.next) {
+			panic(fmt.Sprintf("serve: %d of %d requests completed", app.done, app.win.next))
 		}
 	}
 
@@ -555,7 +557,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 	}
 	st := rt.TotalStats()
 	res := Result{
-		Requests: len(app.reqs),
+		Requests: app.win.next,
 		Ops:      ops,
 		RMWs:     rmws,
 		Applied:  applied,
@@ -563,7 +565,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		Seconds:  mdl.Seconds(eng.MaxClock()),
 		Messages: eng.TotalMessages(),
 		Moves:    st.MigratesOut,
-		Lost:     int64(len(app.reqs)) - app.done,
+		Lost:     int64(app.win.next) - app.done,
 		Retries:  st.ReqRetries,
 		Recovery: rt.Recov(),
 		Stats:    st,
@@ -576,7 +578,7 @@ func Run(mdl *machine.Model, cfg core.Config, p Params) Result {
 		res.P50 = app.hist.Quantile(0.50)
 		res.P99 = app.hist.Quantile(0.99)
 		res.P999 = app.hist.Quantile(0.999)
-		res.SLOFrac = float64(app.sloOK) / float64(len(app.reqs))
+		res.SLOFrac = float64(app.sloOK) / float64(app.win.next)
 	}
 	return res
 }

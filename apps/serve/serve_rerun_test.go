@@ -94,43 +94,3 @@ func TestCrashRecoveryRerunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// hedgeParams is a hedged serving run: the Table 9 traffic without the
-// flip at two thirds of its rate, with a retry deadline of 2,000 cycles,
-// below the unhedged run's p50 of about 2,460. Most requests are re-issued,
-// so many finish while a duplicate attempt is still fanning out.
-func hedgeParams(seed int64) Params {
-	p := DefaultParams(seed)
-	p.Load.Flips = nil
-	p.Load.MeanGap = 1500
-	p.RetryAfter = 2_000
-	p.MaxRetries = 2
-	return p
-}
-
-// hedgeTranscriptPin is the fingerprint of TestHedgedDuplicates's
-// transcript. A change that moves it on purpose re-pins it.
-const hedgeTranscriptPin = "cfac4acdc1d48463"
-
-// TestHedgedDuplicates: hedged duplicate attempts that outlive their
-// request's first completion leave the run exactly-once and quiescent (Run
-// itself panics if a crash-free run does not quiesce or leaves a request
-// unanswered), and the run matches its pin.
-func TestHedgedDuplicates(t *testing.T) {
-	cfg := core.DefaultHybrid()
-	buf := trace.NewBuffer(1 << 16)
-	cfg.Tracer = buf
-	r := Run(machine.CM5(), cfg, hedgeParams(1995))
-	if got := exp.Fingerprint(transcript(buf, r)); got != hedgeTranscriptPin {
-		t.Fatalf("transcript fingerprint %s, pinned %s", got, hedgeTranscriptPin)
-	}
-	if r.Retries == 0 {
-		t.Fatal("no request was hedged")
-	}
-	if r.RMWs == 0 || r.Applied != r.RMWs {
-		t.Fatalf("applied %d of %d issued RMWs", r.Applied, r.RMWs)
-	}
-	if r.Lost != 0 {
-		t.Fatalf("%d of %d requests lost", r.Lost, r.Requests)
-	}
-}
