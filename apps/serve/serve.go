@@ -126,6 +126,9 @@ type App struct {
 	win   window
 	refs  []core.Ref
 	dedup bool
+	// par is set when the engine runs sharded; completions then defer their
+	// bookkeeping to the ordered-commit point.
+	par bool
 
 	hist   stats.LatencyHist
 	slo    int64
@@ -136,16 +139,21 @@ type App struct {
 
 // complete ends one attempt of request id, which arrived at at, on its
 // frontend's clock. Only the request's first completion counts; those of
-// hedged duplicate attempts are ignored. The whole bookkeeping runs at the
-// engine's ordered-commit point: every field it touches (the window, hist,
-// sloOK, done, the trace ring) is shared across frontends, and under the
-// parallel engine frontends on different shards complete requests
-// concurrently. The clock stamp is captured here, at event time, so the
-// deferred commit measures the same latency the serial engine would.
+// hedged duplicate attempts are ignored. Every field the bookkeeping touches
+// (the window, hist, sloOK, done, the trace ring) is shared across
+// frontends, and under the parallel engine frontends on different shards
+// complete requests concurrently, so there it runs at the engine's
+// ordered-commit point, with the clock stamp captured here, at event time,
+// to measure the same latency the serial engine would. On the serial engine
+// it runs in place.
 func (a *App) complete(n *core.NodeRT, id int, at int64) {
 	now := int64(n.Sim.Clock)
-	node := n.ID
-	n.Sim.Ordered(func() { a.finish(node, id, at, now) })
+	if a.par {
+		node := n.ID
+		n.Sim.Ordered(func() { a.finish(node, id, at, now) })
+		return
+	}
+	a.finish(n.ID, id, at, now)
 }
 
 // finish is complete's bookkeeping.
@@ -416,7 +424,8 @@ func run(mdl *machine.Model, cfg core.Config, p Params, app *App) Result {
 	// captured (and their replies group-committed). Without either, the
 	// plain variant keeps the Table 9 workload byte-identical.
 	*app = App{slo: p.SLO, tracer: cfg.Tracer,
-		dedup: p.RetryAfter > 0 || cfg.CheckpointPeriod > 0}
+		dedup: p.RetryAfter > 0 || cfg.CheckpointPeriod > 0,
+		par:   rt.Eng.ParallelActive()}
 	kvs := make([]*KV, p.Keys)
 	app.refs = make([]core.Ref, p.Keys)
 	for k := range kvs {
