@@ -85,12 +85,17 @@ func (kv *KV) CheckpointWords() []core.Word {
 	return w
 }
 
-// RestoreWords re-installs a snapshot in place after a crash.
+// RestoreWords re-installs a snapshot in place after a crash, reusing the
+// id log and its dedup map.
 func (kv *KV) RestoreWords(w []core.Word) {
 	kv.Val = w[0].Int()
 	kv.Applied = w[1].Int()
 	kv.ids = kv.ids[:0]
-	kv.seen = make(map[int64]struct{}, len(w)-2)
+	if kv.seen == nil {
+		kv.seen = make(map[int64]struct{}, len(w)-2)
+	} else {
+		clear(kv.seen)
+	}
 	for _, x := range w[2:] {
 		id := x.Int()
 		kv.ids = append(kv.ids, id)
