@@ -75,9 +75,11 @@ type Gen struct {
 	keys []int
 }
 
-// keyBlock is how many requests' Keys one allocation holds. Callers keep
-// requests (serve.Run holds every one to the end of the run), so a block
-// lives as long as any request carved from it.
+// keyBlock is how many requests' Keys one allocation holds. A block lives
+// as long as any request carved from it. serve.Run keeps a request only
+// while an attempt of it can still run, and gives a finished request it
+// still keeps its own copy of the keys, so a block is freed once the
+// requests carved from it finish.
 const keyBlock = 4096
 
 type resolvedFlip struct {
