@@ -118,7 +118,8 @@ crash-recovery:
 # profiled serving run whose export carries migration and forward-hop
 # instants. Each report is diffed against its pinned capture, as `make
 # tables` does; a change that moves the text on purpose regenerates the pin
-# and the diff is the review record.
+# and the diff is the review record. The two exports are checked against
+# their pinned sha256 sums, so their bytes are pinned too, not only parsed.
 profile:
 	$(GO) run ./cmd/concert -app sor -nodes 16 -size 48 -iters 3 -profile -trace-out /tmp/concert_sor_trace.json > /tmp/concert_profile_sor.out
 	diff -u cmd/concert/testdata/profile_sor.txt /tmp/concert_profile_sor.out
@@ -126,6 +127,7 @@ profile:
 	diff -u cmd/tables/testdata/profile_small.txt /tmp/concert_profile_tables.out
 	$(GO) run ./cmd/concert -app serve -nodes 8 -size 1024 -policy threshold -profile -trace-out /tmp/concert_serve_trace.json > /tmp/concert_profile_serve.out
 	diff -u cmd/concert/testdata/profile_serve.txt /tmp/concert_profile_serve.out
+	sha256sum -c cmd/concert/testdata/profile_traces.sha256
 
 # Headline scale run: a million-object SOR (1024x1024 grid, one object per
 # cell) on a 4096-node machine, routed through the fat-tree interconnect
