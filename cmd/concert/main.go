@@ -310,30 +310,44 @@ func finishObservability(m *obsv.Metrics, mdl *machine.Model, title string, prof
 	if traceOut == "" {
 		return
 	}
-	f, err := os.Create(traceOut)
-	if err != nil {
+	if err := writeTrace(os.Stdout, m, traceOut); err != nil {
 		fatalf("trace-out: %v", err)
+	}
+}
+
+// writeTrace exports m to path, reads the file back to check it and count
+// its events, and reports the count on w. When a detail-log cap truncated
+// the run, the line says the export stops there.
+func writeTrace(w io.Writer, m *obsv.Metrics, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
 	if err := m.WritePerfetto(f); err != nil {
 		f.Close()
-		fatalf("trace-out: %v", err)
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatalf("trace-out: %v", err)
+		return err
 	}
-	f, err = os.Open(traceOut)
+	f, err = os.Open(path)
 	if err != nil {
-		fatalf("trace-out: %v", err)
+		return err
 	}
 	events, err := countTraceEvents(f)
 	f.Close()
 	if err != nil {
-		fatalf("trace-out: wrote invalid JSON: %v", err)
+		return fmt.Errorf("wrote invalid JSON: %v", err)
 	}
 	if events == 0 {
-		fatalf("trace-out: export contains no events")
+		return fmt.Errorf("export contains no events")
 	}
-	fmt.Printf("trace: %d events -> %s (open in ui.perfetto.dev)\n", events, traceOut)
+	cut := ""
+	if m.Truncated() {
+		cut = "; truncated: the export stops at the detail-log cap"
+	}
+	fmt.Fprintf(w, "trace: %d events -> %s (open in ui.perfetto.dev)%s\n", events, path, cut)
+	return nil
 }
 
 // countTraceEvents reads a trace_event document back in one streaming pass

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -60,6 +61,31 @@ func TestTailPartitionReportsDropped(t *testing.T) {
 			len(m.TailRequests(0.99)), c.left)
 		if !strings.HasPrefix(out.String(), want) {
 			t.Fatalf("dropped %d: output %q does not start with %q", c.dropped, out.String(), want)
+		}
+	}
+}
+
+// TestTraceLineReportsTruncation: the -trace-out line says when a detail-log
+// cap cut the export short, here the instant cap, and says nothing of it
+// when the run kept every record.
+func TestTraceLineReportsTruncation(t *testing.T) {
+	for _, truncated := range []bool{false, true} {
+		m := obsv.New()
+		m.ObserveCharge(0, 0, "sor.x", uint8(instr.OpWork), 10)
+		for i := 0; i < 3 || truncated && !m.Truncated(); i++ {
+			m.Record(0, instr.Instr(i), uint8(trace.KDrop), "sor.x", 1)
+		}
+		path := filepath.Join(t.TempDir(), "trace.json")
+		var out bytes.Buffer
+		if err := writeTrace(&out, m, path); err != nil {
+			t.Fatal(err)
+		}
+		want := "trace: 5 events -> " + path + " (open in ui.perfetto.dev)\n"
+		if truncated {
+			want = " (open in ui.perfetto.dev); truncated: the export stops at the detail-log cap\n"
+		}
+		if got := out.String(); !strings.HasPrefix(got, "trace: ") || !strings.HasSuffix(got, want) {
+			t.Fatalf("truncated %v: line %q, want one ending %q", truncated, got, want)
 		}
 	}
 }

@@ -39,41 +39,45 @@ func (m *Metrics) WritePerfetto(w io.Writer) error {
 		p.write(append(b, `"}}`...))
 	}
 	for id, np := range m.nodes {
-		var last *MethodProfile
+		var last uint32 // the runtime
 		name := p.quote(runtimeName)
-		for _, iv := range np.intervals {
-			if iv.mp != last {
-				last, name = iv.mp, p.quote(cmp.Or(iv.name(), runtimeName))
+		for _, c := range np.intervals.chunks {
+			for _, iv := range c {
+				if iv.method != last {
+					last, name = iv.method, p.quote(cmp.Or(m.name(iv.method), runtimeName))
+				}
+				b := p.event()
+				b = append(b, `{"name":`...)
+				b = append(b, name...)
+				b = append(b, `,"ph":"X","ts":`...)
+				b = strconv.AppendInt(b, iv.start, 10)
+				if iv.dur != 0 {
+					b = append(b, `,"dur":`...)
+					b = strconv.AppendUint(b, uint64(iv.dur), 10)
+				}
+				b = append(b, `,"pid":1,"tid":`...)
+				b = strconv.AppendInt(b, int64(id), 10)
+				p.write(append(b, `,"cat":"exec"}`...))
 			}
-			b := p.event()
-			b = append(b, `{"name":`...)
-			b = append(b, name...)
-			b = append(b, `,"ph":"X","ts":`...)
-			b = strconv.AppendInt(b, iv.start, 10)
-			if d := iv.end - iv.start; d != 0 {
-				b = append(b, `,"dur":`...)
-				b = strconv.AppendInt(b, d, 10)
-			}
-			b = append(b, `,"pid":1,"tid":`...)
-			b = strconv.AppendInt(b, int64(id), 10)
-			p.write(append(b, `,"cat":"exec"}`...))
 		}
 	}
-	for _, in := range m.instants {
-		b := p.event()
-		b = append(b, `{"name":`...)
-		b = append(b, p.quote(in.Kind.String())...)
-		b = append(b, `,"ph":"i","ts":`...)
-		b = strconv.AppendInt(b, in.At, 10)
-		b = append(b, `,"pid":1,"tid":`...)
-		b = strconv.AppendInt(b, int64(in.Node), 10)
-		b = append(b, `,"cat":"event","s":"t","args":{"aux":`...)
-		b = strconv.AppendInt(b, in.Aux, 10)
-		b = append(b, `,"aux?":`...)
-		b = append(b, p.quote(trace.AuxMeaning(in.Kind))...)
-		b = append(b, `,"method":`...)
-		b = append(b, p.quote(in.Method)...)
-		p.write(append(b, `}}`...))
+	for _, c := range m.instants.chunks {
+		for _, in := range c {
+			b := p.event()
+			b = append(b, `{"name":`...)
+			b = append(b, p.quote(in.Kind.String())...)
+			b = append(b, `,"ph":"i","ts":`...)
+			b = strconv.AppendInt(b, in.At, 10)
+			b = append(b, `,"pid":1,"tid":`...)
+			b = strconv.AppendInt(b, int64(in.Node), 10)
+			b = append(b, `,"cat":"event","s":"t","args":{"aux":`...)
+			b = strconv.AppendInt(b, in.Aux, 10)
+			b = append(b, `,"aux?":`...)
+			b = append(b, p.quote(trace.AuxMeaning(in.Kind))...)
+			b = append(b, `,"method":`...)
+			b = append(b, p.quote(in.Method)...)
+			p.write(append(b, `}}`...))
+		}
 	}
 	p.w.WriteString("],\"displayTimeUnit\":\"ms\"}\n")
 	return p.w.Flush()
