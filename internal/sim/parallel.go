@@ -144,7 +144,7 @@ func (e *Engine) EnableParallel(lookahead Time) bool {
 	}
 	shards := make([]*shard, target)
 	for i := range shards {
-		shards[i] = &shard{eng: e, q: newCalendarQueue()}
+		shards[i] = &shard{eng: e, q: new(radixQueue)}
 	}
 	// Block partition: shard s owns nodes [s*N/S, (s+1)*N/S) — neighbors in
 	// ID space share a shard, which for grid apps keeps most traffic

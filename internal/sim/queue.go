@@ -1,15 +1,20 @@
 package sim
 
-// The engine's pending-event store: a calendar queue (O(1) amortized push
-// and pop). Events are totally ordered by (at, src, seq) — time, then
-// scheduling context, then that context's own sequence counter — so any
-// correct priority queue dequeues in exactly the same order regardless of
-// insertion order. The context in the key is what makes the order
-// shard-independent: the serial loop and the parallel engine's shards
+import (
+	"fmt"
+	"math/bits"
+)
+
+// The engine's pending-event store: a monotone radix queue (O(1) push and
+// peek, amortized O(1) pop). Events are totally ordered by (at, src, seq) —
+// time, then scheduling context, then that context's own sequence counter —
+// so any correct priority queue dequeues in exactly the same order
+// regardless of insertion order. The context in the key is what makes the
+// order shard-independent: the serial loop and the parallel engine's shards
 // insert the same events in different interleavings, but compare them
 // identically. queue_test.go keeps a container/heap binary heap as the
-// reference oracle: TestCalendarMatchesHeapOracle and
-// TestCalendarOracleShapeShifts assert the two agree under random and
+// reference oracle: TestQueueMatchesHeapOracle and
+// TestQueueOracleShapeShifts assert the two agree under random and
 // shape-changing workloads, and TestQueueTieBreakTwoProducers pins the
 // same-instant cross-producer order.
 
@@ -29,303 +34,139 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// ---------------------------------------------------------------------------
-// calendarQueue: Brown's calendar queue with heap-ordered buckets.
+// radixQueue is a monotone radix queue (Ahuja, Mehlhorn, Orlin and Tarjan,
+// "Faster algorithms for the shortest path problem", JACM 1990) keyed on
+// now, the time of the last pop. It rests on one rule the engine keeps: no
+// event is pushed before now. Schedule checks that for the host and for
+// node code; push checks it again, because an event below now would be
+// filed in the wrong bucket and pop out of order.
 //
-// Virtual time is divided into bucket-width windows; bucket i of nb covers
-// every window w with w % nb == i (the calendar "year" is nb*width). An
-// event lands in the bucket of its window; dequeue walks the calendar from
-// the current window forward, popping from a bucket only while its minimum
-// lies inside the window under the cursor. Each bucket is itself a tiny
-// binary heap on (at, src, seq), so the bucket minimum is its element 0 — the
-// in-window test is one comparison — and pathological workloads (every
-// event at one instant) degrade to a single bucket heap, i.e. a plain binary
-// heap's O(log n), never worse.
+// The events at now wait in cur, a binary heap, so they pop in (src, seq)
+// order. Every later event waits unsorted in far[i], where i is the highest
+// bit in which its time differs from now; lo[i] is the earliest time in
+// far[i], and mask marks the buckets that are not empty. An event in far[i]
+// agrees with now above bit i and has bit i set where now has it clear, so
+// every event in far[i] is earlier than every event in far[j] when i < j:
+// the minimum is cur's root, or else lo of the lowest bucket. A peek reads
+// it without moving now, so a push between a peek and a pop stays legal;
+// RunUntil and the parallel engine's rounds do that.
 //
-// The bucket count follows the population (doubling above 2 events per
-// bucket, halving below 1/2), and the width follows the front: as in
-// Brown's paper it is sized from the spacing of the events being dequeued,
-// calWidthMul times the mean time between pops since the last rebuild, so a
-// popped bucket holds about that many events. A push burst has no pops to
-// go by, so a rebuild inside one reads the spacing of the earliest queued
-// events instead, as Brown does at every resize, and the first pop after a
-// burst that grew the population by half since re-reads it: the burst may
-// have filled in the front its last doubling sampled. Sizing the width from
-// the span of everything queued instead lets a far tail of timers and
-// deadlines stretch the buckets until the whole front shares one. Every pop
-// counts its work —
-// the events in the popped bucket plus the buckets walked to find it — and
-// when that work exceeds calMaxWork per pop within a window of nb pops, the
-// queue rebuilds at the same bucket count with a re-derived width. A rebuild
-// costs O(events + buckets) and is paid for by the work that triggered it
-// (or by the Θ(nb) pushes or pops behind a resize), so push and pop stay
-// O(1) amortized: the property the engine needs to dispatch hundreds of
-// millions of events at 4096-node scale, where a global heap's log n
-// cache-missing comparisons per operation dominated runtime. The
-// far-future tail shares buckets with near events via the year wrap and is
-// skipped in O(1) by the in-window test.
-//
-// The dequeue cursor is derived entirely from lastAt, the time of the most
-// recently popped event. The engine guarantees no push below the current
-// event time (Schedule panics on it), so every queued or future event lies
-// at or after lastAt's window: anchoring the walk there — instead of
-// persisting a cursor that could advance past windows where later pushes
-// still land — makes the scan position always correct by construction. What
-// the queue does keep between calls is minB, the bucket holding the
-// minimum: peekAt finds it, pop takes from it, and a push landing below the
-// minimum moves it to the pushed event's bucket. The parallel engine peeks
-// every shard each round and again before each pop, so without the memo
-// every peek would repeat the walk.
-//
-// Bucket arrays are kept across rebuilds (a rebuild clears their slots and
-// re-files the events), and the buckets a halving retires keep theirs for
-// the next doubling, so a run whose population swings stops allocating once
-// every bucket has held its largest cluster. Stored capacity is bounded: a
-// rebuild drops any array with room for more than calCapPerBucket events,
-// such as one left by a same-instant spike.
-
-const (
-	calMinBuckets = 16
-	// calWidthMul is the bucket width in mean pop spacings: about this many
-	// events per popped bucket.
-	calWidthMul = 3
-	// calMaxWork is the mean work per pop (events in the popped bucket plus
-	// buckets walked) above which the queue re-derives its width.
-	calMaxWork = 4
-	// calCapPerBucket is the largest bucket array, in events, that a
-	// rebuild keeps. A bucket that once held 9 to 16 events has room for 17.
-	calCapPerBucket = 24
-)
-
-type calendarQueue struct {
-	// buckets holds the nb live buckets; the capacity beyond nb keeps the
-	// buckets of a larger calendar, with their arrays, for the next growth.
-	buckets []bucketHeap
-	nb      int // power of two
-	mask    int
-	width   Time
-	size    int
-	lastAt  Time // time of the most recently popped event (the scan floor)
-	minB    int  // bucket holding the minimum, or -1 if not yet found
-
-	// pops counts the pops since the last rebuild, which left lastAt at
-	// from: their mean spacing sizes the next width. work sums the pop work
-	// over the current window of `window` pops (at most nb).
-	pops, window, work int
-	from               Time
-	// built is the population at the last rebuild.
-	built int
-
-	// spare is the buffer for re-filing events, kept across rebuilds. It is
-	// allocated with room for 2*nb events, the most the queue holds before
-	// its next doubling.
-	spare []event
+// When cur runs dry, pop moves now to lo of the lowest bucket i and re-files
+// that bucket. Its events agree with the new now on bit i and above, so each
+// goes to cur or to a bucket below i, and the events of the higher buckets
+// keep theirs. An event is therefore filed at most once per bit of its
+// time, and there is no bucket width to size, no resize and nothing to
+// tune. A bucket holding one event is returned directly.
+type radixQueue struct {
+	now  Time
+	cur  bucketHeap
+	far  [64][]event
+	lo   [64]Time
+	mask uint64
+	size int
 }
 
-func newCalendarQueue() *calendarQueue {
-	q := &calendarQueue{width: 256, minB: -1}
-	q.rebuild(calMinBuckets)
-	return q
-}
+func (q *radixQueue) len() int { return q.size }
 
-func (q *calendarQueue) len() int { return q.size }
-
-func (q *calendarQueue) push(ev event) {
-	i := int(ev.at/q.width) & q.mask
-	if q.minB >= 0 && less(&ev, &q.buckets[q.minB][0]) {
-		q.minB = i
+func (q *radixQueue) push(ev event) {
+	if ev.at < q.now {
+		panic(fmt.Sprintf("sim: event at %d pushed below the queue's floor %d", ev.at, q.now))
 	}
-	q.buckets[i].push(ev)
 	q.size++
-	if q.size > 2*q.nb {
-		q.rebuild(2 * q.nb)
+	if ev.at == q.now {
+		q.cur.push(ev)
+		return
 	}
+	q.file(ev)
+}
+
+// file puts ev, later than now, in the bucket of the highest bit in which
+// its time differs from now.
+func (q *radixQueue) file(ev event) {
+	i := bits.Len64(uint64(ev.at^q.now)) - 1
+	if q.mask&(1<<i) == 0 || ev.at < q.lo[i] {
+		q.lo[i] = ev.at
+	}
+	q.mask |= 1 << i
+	q.far[i] = append(q.far[i], ev)
 }
 
 // pop removes and returns the minimum by (at, src, seq). The queue must be
 // non-empty.
-func (q *calendarQueue) pop() event {
-	if q.pops == 0 && 2*q.size > 3*q.built {
-		// The first pop after pushes that grew the population by half
-		// since the last rebuild: size the width from the front they
-		// filed.
-		q.rebuild(q.nb)
-	}
-	i := q.minB
-	if i < 0 {
-		i = q.findMin()
-	}
-	q.minB = -1
-	q.work += len(q.buckets[i])
-	ev := q.buckets[i].pop()
+func (q *radixQueue) pop() event {
 	q.size--
-	q.lastAt = ev.at
-	q.pops++
-	q.window++
-	switch {
-	case q.size < q.nb/2 && q.nb > calMinBuckets:
-		q.rebuild(q.nb / 2)
-	case q.work > calMaxWork*q.nb:
-		q.rebuild(q.nb)
-	case q.window >= q.nb:
-		q.window, q.work = 0, 0
+	if len(q.cur) == 0 {
+		i := bits.TrailingZeros64(q.mask)
+		b := q.far[i]
+		q.far[i] = b[:0]
+		q.mask &^= 1 << i
+		q.now = q.lo[i]
+		if len(b) == 1 {
+			ev := b[0]
+			b[0] = event{} // release the fn/timer pointers
+			return ev
+		}
+		for j := range b {
+			if b[j].at == q.now {
+				q.cur = append(q.cur, b[j])
+			} else {
+				q.file(b[j])
+			}
+		}
+		clear(b)
+		q.cur.init()
 	}
-	return ev
+	return q.cur.pop()
 }
 
 // peekAt returns the at of the minimum without removing it. The queue must
 // be non-empty.
-func (q *calendarQueue) peekAt() Time {
-	if q.minB < 0 {
-		q.minB = q.findMin()
+func (q *radixQueue) peekAt() Time {
+	if len(q.cur) > 0 {
+		return q.now
 	}
-	return q.buckets[q.minB][0].at
-}
-
-// findMin returns the index of the bucket holding the global minimum,
-// adding the buckets it walked to the pop work. The queue must be
-// non-empty. The scan is re-anchored at lastAt's window each call, which
-// pop's lastAt update advances.
-func (q *calendarQueue) findMin() int {
-	// Walk at most one year forward from lastAt's window: a bucket's
-	// minimum is its heap root, so the in-window test is one comparison.
-	w := q.lastAt / q.width
-	cur := int(w) & q.mask
-	top := (w + 1) * q.width
-	for i := 0; i < q.nb; i++ {
-		if b := q.buckets[cur]; len(b) > 0 && b[0].at < top {
-			q.work += i
-			return cur
-		}
-		cur = (cur + 1) & q.mask
-		top += q.width
-	}
-	// Nothing within a year: the queue is sparse relative to its calendar.
-	// Direct-search the bucket roots for the global minimum.
-	q.work += 2 * q.nb
-	best := -1
-	for i := range q.buckets {
-		b := q.buckets[i]
-		if len(b) == 0 {
-			continue
-		}
-		if best < 0 || less(&b[0], &q.buckets[best][0]) {
-			best = i
-		}
-	}
-	return best
-}
-
-// rebuild re-files every event into nb buckets whose width is calWidthMul
-// mean pop spacings since the last rebuild, clamped to at least 1 and small
-// enough that a year's walk cannot overflow Time. If nothing was popped
-// since, the spacing is that of the earliest queued events (frontSpacing),
-// and if they are one instant the width stays. It keeps the bucket arrays
-// up to calCapPerBucket, and does nothing if neither nb nor the width would
-// change.
-func (q *calendarQueue) rebuild(nb int) {
-	width := q.width
-	if q.pops > 0 {
-		width = calWidthMul * min(q.lastAt-q.from, 1<<60) / Time(q.pops)
-	} else if span, gaps := q.frontSpacing(); span > 0 {
-		width = calWidthMul * min(span, 1<<60) / Time(gaps)
-	}
-	width = min(max(width, 1), Time(1<<60)/Time(nb))
-	q.window, q.work = 0, 0
-	if nb == q.nb && width == q.width {
-		return
-	}
-	q.pops, q.from = 0, q.lastAt
-	q.minB = -1
-	q.built = q.size
-	if cap(q.spare) < q.size {
-		q.spare = make([]event, 0, 2*nb)
-	}
-	all := q.spare[:0]
-	for i, b := range q.buckets {
-		all = append(all, b...)
-		if cap(b) > calCapPerBucket {
-			b = nil
-		}
-		clear(b)
-		q.buckets[i] = b[:0]
-	}
-	if nb <= cap(q.buckets) {
-		q.buckets = q.buckets[:nb]
-	} else {
-		grown := make([]bucketHeap, nb)
-		copy(grown, q.buckets[:cap(q.buckets)])
-		q.buckets = grown
-	}
-	q.nb, q.mask, q.width = nb, nb-1, width
-	for i := range all {
-		q.buckets[int(all[i].at/width)&q.mask].push(all[i])
-	}
-	clear(all) // release the fn/timer pointers
-	q.spare = all[:0]
-}
-
-// calSample is how many of the earliest queued events frontSpacing reads.
-const calSample = 16
-
-// frontSpacing returns the span from the earliest to the latest of the
-// calSample earliest queued events and the number of gaps in it, as Brown
-// sizes a calendar that has no pop history: the spacing of the events
-// about to be dequeued. It keeps the sample sorted in a fixed array, so it
-// allocates nothing, and it returns a zero span if fewer than two events
-// are queued or the sample is one instant.
-func (q *calendarQueue) frontSpacing() (span Time, gaps int) {
-	var at [calSample]Time
-	n := 0
-	for _, b := range q.buckets {
-		for j := range b {
-			t := b[j].at
-			if n == calSample {
-				if t >= at[n-1] {
-					continue
-				}
-				n--
-			}
-			i := n
-			for ; i > 0 && at[i-1] > t; i-- {
-				at[i] = at[i-1]
-			}
-			at[i] = t
-			n++
-		}
-	}
-	if n < 2 {
-		return 0, 0
-	}
-	return at[n-1] - at[0], n - 1
+	return q.lo[bits.TrailingZeros64(q.mask)]
 }
 
 // compact removes every event for which dead returns true, returning how
-// many were removed. Used to reclaim cancelled-timer slots. The minimum may
-// be among them, so the memo goes.
-func (q *calendarQueue) compact(dead func(*event) bool) int {
-	removed := 0
-	for i := range q.buckets {
-		b := q.buckets[i][:0]
-		for j := range q.buckets[i] {
-			if dead(&q.buckets[i][j]) {
-				removed++
-			} else {
-				b = append(b, q.buckets[i][j])
-			}
+// many were removed. Used to reclaim cancelled-timer slots.
+func (q *radixQueue) compact(dead func(*event) bool) int {
+	before := q.size
+	q.cur = sweep(q.cur, dead)
+	q.cur.init()
+	q.size = len(q.cur)
+	for m := q.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b := sweep(q.far[i], dead)
+		q.far[i] = b
+		q.size += len(b)
+		if len(b) == 0 {
+			q.mask &^= 1 << i
+			continue
 		}
-		clear(q.buckets[i][len(b):])
-		q.buckets[i] = b
-		q.buckets[i].init()
+		q.lo[i] = b[0].at
+		for j := range b {
+			q.lo[i] = min(q.lo[i], b[j].at)
+		}
 	}
-	q.size -= removed
-	q.minB = -1
-	return removed
+	return before - q.size
 }
 
-// bucketHeap is one bucket: a small binary min-heap on (at, src, seq), inlined
-// (no container/heap indirection) because push/pop on 1-2 element buckets
-// is the engine's hottest path.
+// sweep removes the events for which dead returns true from b in place.
+func sweep(b []event, dead func(*event) bool) []event {
+	keep := b[:0]
+	for j := range b {
+		if !dead(&b[j]) {
+			keep = append(keep, b[j])
+		}
+	}
+	clear(b[len(keep):]) // release the fn/timer pointers
+	return keep
+}
+
+// bucketHeap is the queue's current instant: a small binary min-heap on
+// (at, src, seq), inlined (no container/heap indirection) because its push
+// and pop are on the engine's hottest path.
 type bucketHeap []event
 
 func (b *bucketHeap) push(ev event) {
