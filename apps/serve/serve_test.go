@@ -2,6 +2,7 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"repro/apps/chaos"
 	"repro/internal/core"
@@ -204,6 +205,33 @@ func TestCrashNoRecoveryLosesRequests(t *testing.T) {
 	}
 	if r.Lost == 0 {
 		t.Fatal("no-recovery configuration lost nothing — crash windows are not destructive")
+	}
+}
+
+// TestCrashSetupRunReturns runs the benchmark's serve-crash configuration
+// (crashParams with a 40,000-cycle SLO, crashes, checkpoints and retries)
+// at Horizon 1, the call bench/workloads.go makes to time the set-up alone,
+// at four seeds. Such a run issues no request, so only the engine's
+// services are left: the checkpoint tick and the crash generator
+// reschedule themselves while PendingWork counts real work, and an
+// over-count would keep them going forever. Each run must return within a
+// minute and lose nothing.
+func TestCrashSetupRunReturns(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1995} {
+		p := crashParams(seed)
+		p.SLO = 40_000
+		p.Load.Horizon = 1
+		done := make(chan Result, 1)
+		go func() { done <- Run(machine.CM5(), crashConfig(uint64(seed)), p) }()
+		select {
+		case r := <-done:
+			if r.Lost != 0 || r.Applied != r.RMWs {
+				t.Errorf("seed %d: %d of %d requests lost, %d of %d RMWs applied",
+					seed, r.Lost, r.Requests, r.Applied, r.RMWs)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("seed %d: the set-up run did not return within a minute", seed)
+		}
 	}
 }
 
