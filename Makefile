@@ -131,7 +131,7 @@ profile:
 
 # Headline scale run: a million-object SOR (1024x1024 grid, one object per
 # cell) on a 4096-node machine, routed through the fat-tree interconnect
-# with per-link contention. Exercises the calendar event queue and the
+# with per-link contention. Exercises the radix event queue and the
 # object arenas at full scale; completes in single-digit seconds. Its output
 # is diffed against cmd/concert/testdata/scale.txt, as `make tables` does.
 scale:
@@ -139,7 +139,7 @@ scale:
 	diff -u cmd/concert/testdata/scale.txt /tmp/concert_scale.out
 
 # Reduced 256-node variant of the scale run: same code paths (fat-tree
-# routing, calendar queue, arenas), ~65k objects, well under a second of
+# routing, radix queue, arenas), ~65k objects, well under a second of
 # simulation; diffed against cmd/concert/testdata/scale_smoke.txt.
 scale-smoke:
 	$(GO) run ./cmd/concert -app sor -nodes 256 -size 256 -iters 2 -net fattree -verify > /tmp/concert_scale_smoke.out

@@ -317,11 +317,12 @@ func TestWakePumpAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestEventLayout pins the event at 40 bytes. The calendar queue stores
-// events by value, and their size shows in the benchmark's sor-scale peak
-// RSS (4096 nodes, a million objects): against a 40-byte event with closure
-// deliveries, a prototype of the typed delivery event raised it by 12.6%
-// with a 64-byte event, 7.4% at 48 bytes and 5.2% at 40.
+// TestEventLayout pins the event at 40 bytes. The event queue stores
+// events by value in its bucket arrays, and their size shows in the
+// benchmark's sor-scale peak RSS (4096 nodes, a million objects): against
+// a 40-byte event with closure deliveries, a prototype of the typed
+// delivery event raised it by 12.6% with a 64-byte event, 7.4% at 48
+// bytes and 5.2% at 40.
 func TestEventLayout(t *testing.T) {
 	if size := unsafe.Sizeof(event{}); size > 40 {
 		t.Fatalf("event is %d bytes, want at most 40", size)
